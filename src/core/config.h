@@ -98,7 +98,9 @@ struct PMMRecConfig {
   // IVF coarse-quantizer geometry. 0 = auto (nlist ~= sqrt(n_items),
   // nprobe = max(1, nlist / 32)); explicit values are range-checked at
   // index build / probe time (nlist in [1, n_items], nprobe in
-  // [1, nlist]).
+  // [1, nlist]). The auto nprobe's recall@10 depends on the catalogue:
+  // 0.996 on bench_ann's Gaussian-mixture table (BENCH_ann.json), 0.638
+  // on perfbench's model catalogue (`serve_ann` quality).
   int64_t ann_nlist = 0;
   int64_t ann_nprobe = 0;
 

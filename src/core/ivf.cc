@@ -93,9 +93,11 @@ int64_t IvfIndex::ResolveNlist(int64_t configured, int64_t n) {
 
 int64_t IvfIndex::ResolveNprobe(int64_t configured, int64_t nlist) {
   PMM_CHECK_GE(nlist, 1);
-  // nlist/32 probes scan ~n/32 rows in expectation: >= 0.99 candidate
-  // recall@10 on clustered catalogues (BENCH_ann.json sweep) while
-  // keeping the default comfortably past the 5x-over-exact mark.
+  // nlist/32 probes scan ~n/32 rows in expectation. Recall@10 at that
+  // default depends on the table: 0.996 on bench_ann's 100k-item
+  // Gaussian-mixture table (BENCH_ann.json), but 0.638 on perfbench's
+  // 50k-item model catalogue (`serve_ann` quality), whose item
+  // representations do not cluster that cleanly.
   if (configured == 0) return std::max<int64_t>(1, nlist / 32);
   PMM_CHECK_MSG(configured >= 1 && configured <= nlist,
                 "IVF nprobe must be in [1, nlist]");
@@ -127,6 +129,7 @@ void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
   }
   PMM_CHECK_MSG(sample_n >= nlist_ && sample_n <= n,
                 "IVF train_sample must be in [nlist, n_rows]");
+  std::vector<float> centroids;
   {
     PMM_TRACE_SCOPE_AT("ann.train", kEpoch, "ann.train.ns");
     std::vector<float> sample(static_cast<size_t>(sample_n * d));
@@ -136,9 +139,10 @@ void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
                   static_cast<size_t>(d) * sizeof(float));
     }
     Rng rng(config.seed);
-    centroids_ =
+    centroids =
         KMeans(sample, sample_n, d, nlist_, config.train_iterations, rng);
   }
+  centroids_ = gemm::PackNT(centroids.data(), nlist_, d, d);
 
   // Assign every catalogue row to its nearest centroid. Per-row
   // independent, so the ParallelFor is bit-identical across thread counts.
@@ -147,7 +151,7 @@ void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
               [&](int64_t i0, int64_t i1) {
                 for (int64_t i = i0; i < i1; ++i) {
                   list_of[static_cast<size_t>(i)] =
-                      NearestCentroid(rows + i * d, centroids_, nlist_, d);
+                      NearestCentroid(rows + i * d, centroids, nlist_, d);
                 }
               });
 
@@ -169,38 +173,57 @@ void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
     ids_[static_cast<size_t>(slot)] = static_cast<int32_t>(i);
   }
 
-  // Gather the fp32 rows (and, in combined mode, the int8 rows) into list
-  // order so each probe scans contiguous memory.
-  rows_.resize(static_cast<size_t>(n * d));
   quantized_ = qt != nullptr;
-  if (quantized_) {
+  lists_.clear();
+  rows_.clear();
+  q_.clear();
+  scales_.clear();
+  zero_points_.clear();
+  row_sums_.clear();
+  if (!quantized_) {
+    // Pack each list straight from the source table through a per-list
+    // gather, so no second row-major copy of the table exists. Lists are
+    // independent, so the split over threads cannot change a panel.
+    lists_.resize(static_cast<size_t>(nlist_));
+    ParallelFor(0, nlist_, 1, [&](int64_t l0, int64_t l1) {
+      std::vector<float> gathered;
+      for (int64_t l = l0; l < l1; ++l) {
+        const int64_t off = offsets_[static_cast<size_t>(l)];
+        const int64_t len = list_size(l);
+        if (len == 0) continue;
+        gathered.resize(static_cast<size_t>(len * d));
+        for (int64_t j = 0; j < len; ++j) {
+          std::memcpy(gathered.data() + j * d,
+                      rows + ids_[static_cast<size_t>(off + j)] * d,
+                      static_cast<size_t>(d) * sizeof(float));
+        }
+        lists_[static_cast<size_t>(l)] =
+            gemm::PackNT(gathered.data(), len, d, d);
+      }
+    });
+  } else {
+    // Combined mode: gather the fp32 and int8 rows into list order so
+    // each probe scans contiguous memory.
+    rows_.resize(static_cast<size_t>(n * d));
     q_.resize(static_cast<size_t>(n * d));
     scales_.resize(static_cast<size_t>(n));
     zero_points_.resize(static_cast<size_t>(n));
     row_sums_.resize(static_cast<size_t>(n));
-  } else {
-    q_.clear();
-    scales_.clear();
-    zero_points_.clear();
-    row_sums_.clear();
-  }
-  ParallelFor(0, n, GrainForCost(d), [&](int64_t s0, int64_t s1) {
-    for (int64_t s = s0; s < s1; ++s) {
-      const int64_t src = ids_[static_cast<size_t>(s)];
-      std::memcpy(rows_.data() + s * d, rows + src * d,
-                  static_cast<size_t>(d) * sizeof(float));
-      if (quantized_) {
+    ParallelFor(0, n, GrainForCost(d), [&](int64_t s0, int64_t s1) {
+      for (int64_t s = s0; s < s1; ++s) {
+        const int64_t src = ids_[static_cast<size_t>(s)];
+        std::memcpy(rows_.data() + s * d, rows + src * d,
+                    static_cast<size_t>(d) * sizeof(float));
         std::memcpy(q_.data() + s * d, qt->q.data() + src * d,
                     static_cast<size_t>(d) * sizeof(int8_t));
-        scales_[static_cast<size_t>(s)] =
-            qt->scales[static_cast<size_t>(src)];
+        scales_[static_cast<size_t>(s)] = qt->scales[static_cast<size_t>(src)];
         zero_points_[static_cast<size_t>(s)] =
             qt->zero_points[static_cast<size_t>(src)];
         row_sums_[static_cast<size_t>(s)] =
             qt->row_sums[static_cast<size_t>(src)];
       }
-    }
-  });
+    });
+  }
 
   built_param_version_ = ParamUpdateVersion();
   PMM_TRACE_COUNT("ann.build.rows", n);
@@ -208,6 +231,59 @@ void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
   for (int64_t l = 0; l < nlist_; ++l) {
     PMM_TRACE_OBSERVE("ann.list_size", list_size(l));
   }
+}
+
+std::vector<ScoredId> IvfIndex::ProbeLists(const float* query,
+                                           float* cscores) const {
+  std::memset(cscores, 0, static_cast<size_t>(nlist_) * sizeof(float));
+  gemm::GemmNTPacked(query, centroids_, cscores, 1, 0, nlist_, d_, nlist_);
+  return TopKSelect(cscores, nlist_, nprobe_);
+}
+
+std::vector<std::vector<ScoredId>> IvfIndex::ScanLists(
+    const float* queries, int64_t num_queries, int64_t limit, int64_t lo,
+    int64_t hi) const {
+  std::vector<std::vector<ScoredId>> results(
+      static_cast<size_t>(num_queries));
+  std::atomic<int64_t> total_scanned{0};
+  // Each query is self-contained (owner dimension = query row), and by
+  // the GEMM determinism contract each in-list score is bitwise the
+  // full-table scan's score for that id, so the sweep is bit-identical
+  // for every thread count, and with nprobe == nlist it matches
+  // ExactCandidateSource.
+  ParallelFor(0, num_queries, /*grain=*/1, [&](int64_t r0, int64_t r1) {
+    BufferArena& arena = BufferArena::Global();
+    std::vector<float> cscores = arena.AcquireVec(static_cast<size_t>(nlist_));
+    std::vector<float> tile = arena.AcquireVec(static_cast<size_t>(gemm::kNC));
+    int64_t worker_scanned = 0;
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* query = queries + r * d_;
+      TopKSelector selector(limit);
+      int64_t scanned = 0;
+      for (const ScoredId& p : ProbeLists(query, cscores.data())) {
+        if (p.id < lo || p.id >= hi) continue;
+        const gemm::PackedNT& list = lists_[static_cast<size_t>(p.id)];
+        const int32_t* ids = ids_.data() + offsets_[static_cast<size_t>(p.id)];
+        const int64_t len = list_size(p.id);
+        for (int64_t j0 = 0; j0 < len; j0 += gemm::kNC) {
+          const int64_t nc = std::min(gemm::kNC, len - j0);
+          std::memset(tile.data(), 0, static_cast<size_t>(nc) * sizeof(float));
+          gemm::GemmNTPacked(query, list, tile.data(), 1, j0, nc, d_, nc);
+          selector.Push(tile.data(), ids + j0, nc);
+        }
+        scanned += len;
+      }
+      worker_scanned += scanned;
+      PMM_TRACE_OBSERVE("ann.rows_scanned", scanned);
+      results[static_cast<size_t>(r)] = selector.Take();
+    }
+    total_scanned.fetch_add(worker_scanned, std::memory_order_relaxed);
+    arena.Release(std::move(tile));
+    arena.Release(std::move(cscores));
+  });
+  PMM_TRACE_COUNT("ann.rows_scanned",
+                  total_scanned.load(std::memory_order_relaxed));
+  return results;
 }
 
 std::vector<std::vector<ScoredId>> IvfIndex::Retrieve(
@@ -221,186 +297,11 @@ std::vector<std::vector<ScoredId>> IvfIndex::Retrieve(
                 "stale ANN index: ParamUpdateVersion advanced since the "
                 "index was built");
   PMM_TRACE_SCOPE_AT("ann.probe", kOp, "ann.probe.ns");
-
-  // Combined mode quantizes the whole query batch once up front.
-  std::vector<int8_t> qq;
-  std::vector<float> qscale;
-  std::vector<int32_t> qsum;
-  if (quantized_) {
-    qq.resize(static_cast<size_t>(num_queries * d_));
-    qscale.resize(static_cast<size_t>(num_queries));
-    qsum.resize(static_cast<size_t>(num_queries));
-    QuantizeQueryRows(queries, num_queries, d_, qq.data(), qscale.data(),
-                      qsum.data());
-  }
-
-  std::vector<std::vector<ScoredId>> results(
-      static_cast<size_t>(num_queries));
-  std::atomic<int64_t> total_scanned{0};
-  // Each query is self-contained (owner dimension = query row), so the
-  // sweep is bit-identical for every thread count.
-  ParallelFor(0, num_queries, /*grain=*/1, [&](int64_t r0, int64_t r1) {
-    BufferArena& arena = BufferArena::Global();
-    std::vector<float> cscores = arena.AcquireVec(static_cast<size_t>(nlist_));
-    // In-list scores: fp32 in exact-list mode, int32 dots (same 4 bytes
-    // per element) in combined mode.
-    std::vector<float> scan = arena.AcquireVec(static_cast<size_t>(n_));
-    std::vector<std::pair<uint64_t, uint32_t>> ranked;
-    std::vector<std::pair<uint64_t, uint32_t>> rank_scratch;
-    std::vector<float> gathered;
-    std::vector<float> exact;
-    // See QuantCandidateTopK: the int32 zero-point correction stays exact
-    // up to d = 2^14; past that the correction needs int64.
-    const bool narrow = d_ <= (int64_t{1} << 14);
-    int64_t worker_scanned = 0;
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* query = queries + r * d_;
-      // Stage 1: exact centroid scores, top-nprobe lists through the
-      // shared top-K kernel (canonical order, deterministic probe set).
-      std::memset(cscores.data(), 0,
-                  static_cast<size_t>(nlist_) * sizeof(float));
-      gemm::GemmNT(query, centroids_.data(), cscores.data(), 1, d_, nlist_,
-                   d_, d_, nlist_);
-      const std::vector<ScoredId> probed =
-          TopKSelect(cscores.data(), nlist_, nprobe_);
-
-      // Stage 2: scan the probed lists' contiguous row bands.
-      ranked.clear();
-      int64_t scanned = 0;
-      if (!quantized_) {
-        // Exact fp32 scan: by the GEMM determinism contract each in-list
-        // score is bitwise the full-table scan's score for that id, so
-        // with nprobe == nlist the result matches ExactCandidateSource.
-        for (const ScoredId& p : probed) {
-          const int64_t off = offsets_[static_cast<size_t>(p.id)];
-          const int64_t len = list_size(p.id);
-          if (len == 0) continue;
-          std::memset(scan.data() + scanned, 0,
-                      static_cast<size_t>(len) * sizeof(float));
-          gemm::GemmNT(query, rows_.data() + off * d_, scan.data() + scanned,
-                       1, d_, len, d_, d_, len);
-          for (int64_t j = 0; j < len; ++j) {
-            // Payload = the exact score's raw bits: the key orders, the
-            // bits survive the key transform's -0 normalization.
-            const float score = scan[static_cast<size_t>(scanned + j)];
-            uint32_t bits;
-            std::memcpy(&bits, &score, sizeof(bits));
-            ranked.emplace_back(
-                detail::OrderKey(score, ids_[static_cast<size_t>(off + j)]),
-                bits);
-          }
-          scanned += len;
-        }
-      } else {
-        // Combined IVF+int8 scan: QGemmNT over each list band, affine
-        // correction to approximate scores (candidate ranking only).
-        int32_t* dots = reinterpret_cast<int32_t*>(scan.data());
-        const float su = qscale[static_cast<size_t>(r)];
-        const int64_t us = qsum[static_cast<size_t>(r)];
-        const int32_t us32 = static_cast<int32_t>(us);
-        for (const ScoredId& p : probed) {
-          const int64_t off = offsets_[static_cast<size_t>(p.id)];
-          const int64_t len = list_size(p.id);
-          if (len == 0) continue;
-          std::memset(dots + scanned, 0,
-                      static_cast<size_t>(len) * sizeof(int32_t));
-          gemm::QGemmNT(qq.data() + r * d_, q_.data() + off * d_,
-                        dots + scanned, 1, d_, len, d_, d_, len);
-          for (int64_t j = 0; j < len; ++j) {
-            const int64_t s = off + j;
-            float approx;
-            if (narrow) {
-              const int32_t corrected =
-                  dots[scanned + j] -
-                  static_cast<int32_t>(
-                      zero_points_[static_cast<size_t>(s)]) *
-                      us32;
-              approx = su * scales_[static_cast<size_t>(s)] *
-                       static_cast<float>(corrected);
-            } else {
-              const int64_t corrected =
-                  static_cast<int64_t>(dots[scanned + j]) -
-                  static_cast<int64_t>(
-                      zero_points_[static_cast<size_t>(s)]) *
-                      us;
-              approx = su * scales_[static_cast<size_t>(s)] *
-                       static_cast<float>(corrected);
-            }
-            ranked.emplace_back(
-                detail::OrderKey(approx, ids_[static_cast<size_t>(s)]),
-                static_cast<uint32_t>(s));
-          }
-          scanned += len;
-        }
-      }
-      worker_scanned += scanned;
-      PMM_TRACE_OBSERVE("ann.rows_scanned", scanned);
-
-      // Keep the top-eff by key. Descending key order IS the canonical
-      // order, and keys are unique (they embed ~id), so nth_element picks
-      // exactly the heap kernel's prefix set.
-      const int64_t eff = std::min(limit, scanned);
-      if (static_cast<int64_t>(ranked.size()) > eff) {
-        std::nth_element(
-            ranked.begin(), ranked.begin() + eff, ranked.end(),
-            [](const std::pair<uint64_t, uint32_t>& a,
-               const std::pair<uint64_t, uint32_t>& b) {
-              return a.first > b.first;
-            });
-        ranked.resize(static_cast<size_t>(eff));
-      }
-
-      if (quantized_) {
-        // Exact fp32 re-rank of the kept candidates (the payload is the
-        // slot, so the gather reads the index's own contiguous rows). The
-        // gathered GEMM chain is bitwise the full-scan chain for each id
-        // (tensor/gemm.h), so quantization error never reaches a score.
-        PMM_TRACE_SCOPE_AT("ann.rerank", kOp, "ann.rerank.ns");
-        gathered.resize(static_cast<size_t>(eff * d_));
-        exact.assign(static_cast<size_t>(eff), 0.0f);
-        for (int64_t c = 0; c < eff; ++c) {
-          std::memcpy(
-              gathered.data() + c * d_,
-              rows_.data() +
-                  static_cast<int64_t>(ranked[static_cast<size_t>(c)].second) *
-                      d_,
-              static_cast<size_t>(d_) * sizeof(float));
-        }
-        gemm::GemmNT(query, gathered.data(), exact.data(), 1, d_, eff, d_, d_,
-                     eff);
-        // Swap the approx keys/slot payloads for exact keys/score bits so
-        // the final sort and emission below are mode-independent.
-        for (int64_t c = 0; c < eff; ++c) {
-          const int64_t slot =
-              static_cast<int64_t>(ranked[static_cast<size_t>(c)].second);
-          const float score = exact[static_cast<size_t>(c)];
-          uint32_t bits;
-          std::memcpy(&bits, &score, sizeof(bits));
-          ranked[static_cast<size_t>(c)] = {
-              detail::OrderKey(score, ids_[static_cast<size_t>(slot)]), bits};
-        }
-      }
-
-      detail::SortPairsByKeyDescending(&ranked, &rank_scratch);
-      std::vector<ScoredId>& out = results[static_cast<size_t>(r)];
-      out.resize(static_cast<size_t>(eff));
-      for (int64_t c = 0; c < eff; ++c) {
-        float score;
-        std::memcpy(&score, &ranked[static_cast<size_t>(c)].second,
-                    sizeof(score));
-        out[static_cast<size_t>(c)] = ScoredId{
-            detail::OrderKeyId(ranked[static_cast<size_t>(c)].first), score};
-      }
-    }
-    total_scanned.fetch_add(worker_scanned, std::memory_order_relaxed);
-    arena.Release(std::move(scan));
-    arena.Release(std::move(cscores));
-  });
-
+  std::vector<std::vector<ScoredId>> results =
+      quantized_ ? RetrieveQuantized(queries, num_queries, limit)
+                 : ScanLists(queries, num_queries, limit, 0, nlist_);
   PMM_TRACE_COUNT("ann.queries", num_queries);
   PMM_TRACE_COUNT("ann.lists_probed", num_queries * nprobe_);
-  PMM_TRACE_COUNT("ann.rows_scanned",
-                  total_scanned.load(std::memory_order_relaxed));
   PMM_TRACE_OBSERVE("ann.lists_probed_per_query", nprobe_);
   return results;
 }
@@ -423,49 +324,84 @@ std::vector<std::vector<ScoredId>> IvfIndex::RetrieveInRange(
                 "stale ANN index: ParamUpdateVersion advanced since the "
                 "index was built");
   PMM_TRACE_SCOPE_AT("ann.probe_shard", kOp, "ann.probe_shard.ns");
+  // The full centroid ranking picks the probe set, as in Retrieve(), so
+  // the shards of a partition scan disjoint slices of the same lists.
+  return ScanLists(queries, num_queries, limit, list_lo, list_hi);
+}
+
+std::vector<std::vector<ScoredId>> IvfIndex::RetrieveQuantized(
+    const float* queries, int64_t num_queries, int64_t limit) const {
+  // The whole query batch is quantized once up front.
+  std::vector<int8_t> qq(static_cast<size_t>(num_queries * d_));
+  std::vector<float> qscale(static_cast<size_t>(num_queries));
+  std::vector<int32_t> qsum(static_cast<size_t>(num_queries));
+  QuantizeQueryRows(queries, num_queries, d_, qq.data(), qscale.data(),
+                    qsum.data());
 
   std::vector<std::vector<ScoredId>> results(
       static_cast<size_t>(num_queries));
+  std::atomic<int64_t> total_scanned{0};
   ParallelFor(0, num_queries, /*grain=*/1, [&](int64_t r0, int64_t r1) {
     BufferArena& arena = BufferArena::Global();
     std::vector<float> cscores = arena.AcquireVec(static_cast<size_t>(nlist_));
+    // int32 dots, 4 bytes per element like the float buffer.
     std::vector<float> scan = arena.AcquireVec(static_cast<size_t>(n_));
+    int32_t* dots = reinterpret_cast<int32_t*>(scan.data());
     std::vector<std::pair<uint64_t, uint32_t>> ranked;
     std::vector<std::pair<uint64_t, uint32_t>> rank_scratch;
+    std::vector<float> gathered;
+    std::vector<float> exact;
+    // See QuantCandidateTopK: the int32 zero-point correction stays exact
+    // up to d = 2^14; past that the correction needs int64.
+    const bool narrow = d_ <= (int64_t{1} << 14);
+    int64_t worker_scanned = 0;
     for (int64_t r = r0; r < r1; ++r) {
       const float* query = queries + r * d_;
-      // The full centroid ranking — identical probe set to Retrieve(),
-      // so the shards of a partition scan disjoint slices of the same
-      // probed lists.
-      std::memset(cscores.data(), 0,
-                  static_cast<size_t>(nlist_) * sizeof(float));
-      gemm::GemmNT(query, centroids_.data(), cscores.data(), 1, d_, nlist_,
-                   d_, d_, nlist_);
-      const std::vector<ScoredId> probed =
-          TopKSelect(cscores.data(), nlist_, nprobe_);
-
+      // QGemmNT over each probed list band, affine correction to
+      // approximate scores (candidate ranking only).
       ranked.clear();
       int64_t scanned = 0;
-      for (const ScoredId& p : probed) {
-        if (p.id < list_lo || p.id >= list_hi) continue;
+      const float su = qscale[static_cast<size_t>(r)];
+      const int64_t us = qsum[static_cast<size_t>(r)];
+      const int32_t us32 = static_cast<int32_t>(us);
+      for (const ScoredId& p : ProbeLists(query, cscores.data())) {
         const int64_t off = offsets_[static_cast<size_t>(p.id)];
         const int64_t len = list_size(p.id);
         if (len == 0) continue;
-        std::memset(scan.data() + scanned, 0,
-                    static_cast<size_t>(len) * sizeof(float));
-        gemm::GemmNT(query, rows_.data() + off * d_, scan.data() + scanned,
-                     1, d_, len, d_, d_, len);
+        std::memset(dots + scanned, 0,
+                    static_cast<size_t>(len) * sizeof(int32_t));
+        gemm::QGemmNT(qq.data() + r * d_, q_.data() + off * d_,
+                      dots + scanned, 1, d_, len, d_, d_, len);
         for (int64_t j = 0; j < len; ++j) {
-          const float score = scan[static_cast<size_t>(scanned + j)];
-          uint32_t bits;
-          std::memcpy(&bits, &score, sizeof(bits));
+          const int64_t s = off + j;
+          float approx;
+          if (narrow) {
+            const int32_t corrected =
+                dots[scanned + j] -
+                static_cast<int32_t>(zero_points_[static_cast<size_t>(s)]) *
+                    us32;
+            approx = su * scales_[static_cast<size_t>(s)] *
+                     static_cast<float>(corrected);
+          } else {
+            const int64_t corrected =
+                static_cast<int64_t>(dots[scanned + j]) -
+                static_cast<int64_t>(zero_points_[static_cast<size_t>(s)]) *
+                    us;
+            approx = su * scales_[static_cast<size_t>(s)] *
+                     static_cast<float>(corrected);
+          }
           ranked.emplace_back(
-              detail::OrderKey(score, ids_[static_cast<size_t>(off + j)]),
-              bits);
+              detail::OrderKey(approx, ids_[static_cast<size_t>(s)]),
+              static_cast<uint32_t>(s));
         }
         scanned += len;
       }
+      worker_scanned += scanned;
+      PMM_TRACE_OBSERVE("ann.rows_scanned", scanned);
 
+      // Keep the top-eff by key. Descending key order IS the canonical
+      // order, and keys are unique (they embed ~id), so nth_element picks
+      // exactly the heap kernel's prefix set.
       const int64_t eff = std::min(limit, scanned);
       if (static_cast<int64_t>(ranked.size()) > eff) {
         std::nth_element(
@@ -476,6 +412,36 @@ std::vector<std::vector<ScoredId>> IvfIndex::RetrieveInRange(
             });
         ranked.resize(static_cast<size_t>(eff));
       }
+
+      // Exact fp32 re-rank of the kept candidates (the payload is the
+      // slot, so the gather reads the index's own contiguous rows). The
+      // gathered GEMM chain is bitwise the full-scan chain for each id
+      // (tensor/gemm.h), so quantization error never reaches a score.
+      PMM_TRACE_SCOPE_AT("ann.rerank", kOp, "ann.rerank.ns");
+      gathered.resize(static_cast<size_t>(eff * d_));
+      exact.assign(static_cast<size_t>(eff), 0.0f);
+      for (int64_t c = 0; c < eff; ++c) {
+        std::memcpy(
+            gathered.data() + c * d_,
+            rows_.data() +
+                static_cast<int64_t>(ranked[static_cast<size_t>(c)].second) *
+                    d_,
+            static_cast<size_t>(d_) * sizeof(float));
+      }
+      gemm::GemmNT(query, gathered.data(), exact.data(), 1, d_, eff, d_, d_,
+                   eff);
+      // Exact keys with the score bits as payload: the key orders, the
+      // bits survive the key transform's -0 normalization.
+      for (int64_t c = 0; c < eff; ++c) {
+        const int64_t slot =
+            static_cast<int64_t>(ranked[static_cast<size_t>(c)].second);
+        const float score = exact[static_cast<size_t>(c)];
+        uint32_t bits;
+        std::memcpy(&bits, &score, sizeof(bits));
+        ranked[static_cast<size_t>(c)] = {
+            detail::OrderKey(score, ids_[static_cast<size_t>(slot)]), bits};
+      }
+
       detail::SortPairsByKeyDescending(&ranked, &rank_scratch);
       std::vector<ScoredId>& out = results[static_cast<size_t>(r)];
       out.resize(static_cast<size_t>(eff));
@@ -487,9 +453,12 @@ std::vector<std::vector<ScoredId>> IvfIndex::RetrieveInRange(
             detail::OrderKeyId(ranked[static_cast<size_t>(c)].first), score};
       }
     }
+    total_scanned.fetch_add(worker_scanned, std::memory_order_relaxed);
     arena.Release(std::move(scan));
     arena.Release(std::move(cscores));
   });
+  PMM_TRACE_COUNT("ann.rows_scanned",
+                  total_scanned.load(std::memory_order_relaxed));
   return results;
 }
 

@@ -78,22 +78,24 @@ class ExactCandidateSource final : public CandidateSource {
 // Inverted-file ANN index over a row-major fp32 table (MISSRec's interest
 // clusters, PAPERS.md, as a serving structure): a coarse k-means
 // quantizer (baselines/kmeans.cc) partitions the catalogue into `nlist`
-// inverted lists of contiguously gathered rows; a query exactly scores
-// the nlist centroids, probes the top `nprobe` lists, and exactly
-// re-scores only the rows inside them (GemmNT over each list band) —
-// O(nlist + n * nprobe / nlist) work instead of O(n). With a
-// QuantizedTable the lists additionally carry the int8 rows, and the
-// in-list scan runs QGemmNT with an exact fp32 re-rank of the top
-// `limit` (the IVF+int8 combined mode; see DESIGN.md "Quantized
-// serving").
+// inverted lists; a query exactly scores the nlist centroids, probes the
+// top `nprobe` lists, and exactly re-scores only the rows inside them —
+// O(nlist + n * nprobe / nlist) work instead of O(n). Build packs the
+// centroids and every list once for gemm::GemmNTPacked, and a query scans
+// its probed lists the way ExactCandidateSource scans its table: kNC-column
+// tiles of packed panels, each pushed with the list's catalogue ids into
+// the query's TopKSelector. With a QuantizedTable the lists instead carry
+// row-major fp32 and int8 rows, and the in-list scan runs QGemmNT with an
+// exact fp32 re-rank of the top `limit` (the IVF+int8 combined mode; see
+// DESIGN.md "Quantized serving").
 //
 // Determinism: k-means is seeded from IvfConfig::seed and bit-identical
 // across thread counts (see baselines/kmeans.h); list membership and
-// order are pure functions of the table; per-query probing partitions
-// over the query dimension. Build() and Retrieve() are therefore
-// bit-identical for every PMMREC_NUM_THREADS setting. Staleness follows
-// the QuantizedTable protocol: the owner stamps built_param_version and
-// Retrieve() checks it against ParamUpdateVersion().
+// order are pure functions of the table; one ParallelFor chunk owns each
+// query. Build() and Retrieve() are therefore bit-identical for every
+// PMMREC_NUM_THREADS setting. Staleness follows the QuantizedTable
+// protocol: the owner stamps built_param_version and Retrieve() checks it
+// against ParamUpdateVersion().
 class IvfIndex {
  public:
   // Auto-parameter resolution (config value 0): nlist ~= sqrt(n) clamped
@@ -160,6 +162,20 @@ class IvfIndex {
   bool version_check_enabled() const { return version_check_enabled_; }
 
  private:
+  // The top nprobe() lists of one query, by exact centroid score in
+  // canonical order. `cscores` is nlist() floats of scratch.
+  std::vector<ScoredId> ProbeLists(const float* query, float* cscores) const;
+  // The fp32 scan behind Retrieve and RetrieveInRange: each query's top
+  // `limit` over the rows of its probed lists that fall in [lo, hi).
+  std::vector<std::vector<ScoredId>> ScanLists(const float* queries,
+                                               int64_t num_queries,
+                                               int64_t limit, int64_t lo,
+                                               int64_t hi) const;
+  // Retrieve() for the IVF+int8 combined mode.
+  std::vector<std::vector<ScoredId>> RetrieveQuantized(const float* queries,
+                                                       int64_t num_queries,
+                                                       int64_t limit) const;
+
   int64_t n_ = 0;
   int64_t d_ = 0;
   int64_t nlist_ = 0;
@@ -168,11 +184,15 @@ class IvfIndex {
   uint64_t built_param_version_ = 0;
   bool version_check_enabled_ = true;
 
-  std::vector<float> centroids_;  // [nlist, d]
+  gemm::PackedNT centroids_;      // [nlist, d], packed
   std::vector<int64_t> offsets_;  // [nlist + 1] slot ranges per list
   std::vector<int32_t> ids_;      // [n] catalogue id at each slot
-  std::vector<float> rows_;       // [n, d] fp32 rows gathered per list
-  // Quantized rows gathered per slot (empty unless quantized_lists()).
+  // fp32 lists: list l's rows packed in slot order (empty for an empty
+  // list). Not filled in combined mode.
+  std::vector<gemm::PackedNT> lists_;
+  // Combined mode only: the fp32 rows (for the exact re-rank) and the
+  // int8 rows, gathered per slot.
+  std::vector<float> rows_;          // [n, d]
   std::vector<int8_t> q_;            // [n, d]
   std::vector<float> scales_;        // [n]
   std::vector<int8_t> zero_points_;  // [n]

@@ -200,6 +200,126 @@ MicroKernelFn ResolveMicroKernel() {
 
 const MicroKernelFn g_micro_kernel = ResolveMicroKernel();
 
+// --- Packed row kernel -----------------------------------------------------
+// GemmNTPacked's path for the rows past its last whole kMR-row tile (all
+// of them when m < kMR): each A row against kRowPanels NR-wide panels of
+// a packed operand at a time, instead of an MR-row tile whose missing
+// rows are zero padding. The rows take turns on one group of panels, so
+// the group is read from memory once and from L1 by the other rows.
+// Every element keeps the microkernel's chain: one accumulator starting
+// at 0, p ascending inside each KC block, a separate multiply then add
+// per step, one `C += partial` per block. `panels` points at the band's
+// first panel (panel s at s * k * kNR); the last panel may be ragged (nc
+// not a multiple of kNR): its padded lanes are read, since a packed
+// panel is always kNR wide, and dropped at writeback.
+
+constexpr int64_t kRowPanels = 4;
+
+// C[0, nr) += acc[0, nr), one add per element.
+inline void AddPartial(float* c, const float* acc, int64_t nr) {
+  for (int64_t jr = 0; jr < nr; ++jr) c[jr] += acc[jr];
+}
+
+void PackedRowKernel(const float* a, int64_t lda, int64_t m,
+                     const float* panels, int64_t k, float* c, int64_t ldc,
+                     int64_t nc) {
+  const int64_t num_panels = (nc + kNR - 1) / kNR;
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    const int64_t kc = std::min(kKC, k - pc);
+    for (int64_t s0 = 0; s0 < num_panels; s0 += kRowPanels) {
+      const int64_t g = std::min(kRowPanels, num_panels - s0);
+      for (int64_t i = 0; i < m; ++i) {
+        const float* ap = a + i * lda + pc;
+        float acc[kRowPanels][kNR] = {};
+        for (int64_t t = 0; t < g; ++t) {
+          const float* bp = panels + (s0 + t) * k * kNR + pc * kNR;
+          for (int64_t p = 0; p < kc; ++p) {
+            for (int64_t jr = 0; jr < kNR; ++jr) {
+              acc[t][jr] += bp[p * kNR + jr] * ap[p];
+            }
+          }
+        }
+        for (int64_t t = 0; t < g; ++t) {
+          const int64_t j0 = (s0 + t) * kNR;
+          AddPartial(c + i * ldc + j0, acc[t], std::min(kNR, nc - j0));
+        }
+      }
+    }
+  }
+}
+
+#if PMMREC_GEMM_AVX2_DISPATCH
+// One row against P panels of one KC block, one ymm accumulator per panel
+// (P is a constant, so the accumulators live in registers); like
+// MicroKernelAvx2, no "fma". `nr_last` is the column count of the last of
+// the P panels.
+template <int P>
+__attribute__((target("avx2"), always_inline)) inline void RowPanelsAvx2(
+    const float* ap, const float* bp, int64_t stride, int64_t kc, float* c,
+    int64_t nr_last) {
+  v8f acc[P] = {};
+  for (int64_t p = 0; p < kc; ++p) {
+    const float av = ap[p];
+#pragma GCC unroll 8
+    for (int t = 0; t < P; ++t) {
+      acc[t] += LoadU8(bp + t * stride + p * kNR) * av;
+    }
+  }
+#pragma GCC unroll 8
+  for (int t = 0; t < P; ++t) {
+    float* ct = c + t * kNR;
+    if (t < P - 1 || nr_last == kNR) {
+      StoreU8(ct, LoadU8(ct) + acc[t]);
+    } else {
+      float partial[kNR];
+      StoreU8(partial, acc[t]);
+      AddPartial(ct, partial, nr_last);
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void PackedRowKernelAvx2(
+    const float* a, int64_t lda, int64_t m, const float* panels, int64_t k,
+    float* c, int64_t ldc, int64_t nc) {
+  const int64_t num_panels = (nc + kNR - 1) / kNR;
+  const int64_t stride = k * kNR;
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    const int64_t kc = std::min(kKC, k - pc);
+    for (int64_t s = 0; s < num_panels;) {
+      const int64_t left = num_panels - s;
+      const int64_t g = left >= kRowPanels ? kRowPanels : left >= 2 ? 2 : 1;
+      const float* bp = panels + s * stride + pc * kNR;
+      const int64_t nr_last = std::min(kNR, nc - (s + g - 1) * kNR);
+      for (int64_t i = 0; i < m; ++i) {
+        const float* ap = a + i * lda + pc;
+        float* cs = c + i * ldc + s * kNR;
+        if (g == kRowPanels) {
+          RowPanelsAvx2<kRowPanels>(ap, bp, stride, kc, cs, nr_last);
+        } else if (g == 2) {
+          RowPanelsAvx2<2>(ap, bp, stride, kc, cs, nr_last);
+        } else {
+          RowPanelsAvx2<1>(ap, bp, stride, kc, cs, nr_last);
+        }
+      }
+      s += g;
+    }
+  }
+}
+#endif  // PMMREC_GEMM_AVX2_DISPATCH
+
+using PackedRowKernelFn = void (*)(const float*, int64_t, int64_t,
+                                   const float*, int64_t, float*, int64_t,
+                                   int64_t);
+
+PackedRowKernelFn ResolvePackedRowKernel() {
+#if PMMREC_GEMM_AVX2_DISPATCH
+  if (__builtin_cpu_supports("avx2")) return &PackedRowKernelAvx2;
+#endif
+  return &PackedRowKernel;
+}
+
+const PackedRowKernelFn g_packed_row_kernel = ResolvePackedRowKernel();
+
 // --- Packing ---------------------------------------------------------------
 // A blocks pack into column-major MR-row panels (dst[panel][p][ir]), B
 // blocks into row-major NR-column panels (dst[panel][p][jr]); ragged
@@ -511,26 +631,31 @@ void GemmNTPacked(const float* a, const PackedNT& b, float* c, int64_t m,
     return;
   }
   PMM_TRACE_COUNT("gemm.dispatch.packed", 1);
-  // BlockedGemm's loops minus the B packing. Each element still sees its
-  // KC blocks in ascending order, one `C += partial` per block.
+  // Whole kMR-row tiles run BlockedGemm's loops minus the B packing; the
+  // rows after the last whole tile (all of them when m < kMR) run the row
+  // kernel. Either way each element sees its KC blocks in ascending
+  // order, one `C += partial` per block.
+  const int64_t m_tiles = m / kMR * kMR;
   std::vector<float>& apack = t_apack;
   if (static_cast<int64_t>(apack.size()) < kAPanelCap) apack.resize(kAPanelCap);
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
-    for (int64_t ic = 0; ic < m; ic += kMC) {
-      const int64_t mc = std::min(kMC, m - ic);
+    for (int64_t ic = 0; ic < m_tiles; ic += kMC) {
+      const int64_t mc = std::min(kMC, m_tiles - ic);
       PackANoTrans(a + ic * lda + pc, lda, mc, kc, apack.data());
       for (int64_t s = 0; s * kNR < nc; ++s) {
         const int64_t nr = std::min(kNR, nc - s * kNR);
         const float* bp = panels + s * k * kNR + pc * kNR;
         for (int64_t t = 0; t * kMR < mc; ++t) {
-          const int64_t i0 = ic + t * kMR;
           g_micro_kernel(apack.data() + t * kc * kMR, bp, kc,
-                         c + i0 * ldc + s * kNR, ldc, std::min(kMR, m - i0),
-                         nr);
+                         c + (ic + t * kMR) * ldc + s * kNR, ldc, kMR, nr);
         }
       }
     }
+  }
+  if (m_tiles < m) {
+    g_packed_row_kernel(a + m_tiles * lda, lda, m - m_tiles, panels, k,
+                        c + m_tiles * ldc, ldc, nc);
   }
 }
 

@@ -88,7 +88,10 @@ PackedNT PackNT(const float* b, int64_t n, int64_t k, int64_t ldb);
 // C[m, nc] += A[m, k] * B[j0, j0 + nc)^T: GemmNT over the column band
 // [j0, j0 + nc) of the packed operand, with j0 a multiple of kNR.
 // Bitwise GemmNT(a, b + j0 * ldb, c, m, k, nc, lda, ldb, ldc) over the
-// source B, under either kernel setting; counted as a GemmNT call.
+// source B, under either kernel setting; counted as a GemmNT call. Rows
+// past the last whole kMR-row tile (all rows when m < kMR, e.g. one
+// query) run one row at a time against several panels rather than in a
+// zero-padded tile, with the same per-element chain.
 void GemmNTPacked(const float* a, const PackedNT& b, float* c, int64_t m,
                   int64_t j0, int64_t nc, int64_t lda, int64_t ldc);
 

@@ -1,6 +1,7 @@
 #include "utils/threadpool.h"
 
 #include <algorithm>
+#include <new>
 
 #include "utils/trace.h"
 
@@ -47,6 +48,17 @@ void ThreadPool::ResetAfterFork() {
   auto* orphaned = new std::vector<std::thread>(std::move(workers_));
   (void)orphaned;
   workers_.clear();
+  // The synchronisation objects are copies of the parent's, taken while
+  // its idle workers were parked in work_cv_.wait(). glibc's condition
+  // variable counts those waiters, and a later notify in this process
+  // blocks until they acknowledge — which threads that were never forked
+  // cannot do. Rebuild them in place (no destructor: destroying a
+  // condition variable with registered waiters blocks the same way). The
+  // child is single-threaded here, so nothing can hold them.
+  new (&mu_) std::mutex();
+  new (&submit_mu_) std::mutex();
+  new (&work_cv_) std::condition_variable();
+  new (&done_cv_) std::condition_variable();
   batch_ = nullptr;
   batch_epoch_ = 0;
   stop_ = false;

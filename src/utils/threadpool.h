@@ -44,10 +44,13 @@ class ThreadPool {
 
   // Child-side cleanup after fork(): the parent's worker threads do not
   // exist in the child, so their std::thread handles must be discarded —
-  // never joined — and the batch state cleared so the child can lazily
-  // spawn its own workers. Only valid when the parent forked while the
-  // pool was quiescent (no RunChunks in flight); dist/process.cc
-  // guarantees that by forking between training steps.
+  // never joined — the batch state cleared, and the mutexes and condition
+  // variables rebuilt (the copies still count the parent's parked workers
+  // as waiters), so the child can lazily spawn its own workers. Call it
+  // first thing in the child, while it is single-threaded. Only valid when
+  // the parent forked while the pool was quiescent (no RunChunks in
+  // flight); dist/process.cc guarantees that by forking between training
+  // steps.
   void ResetAfterFork();
 
   int64_t num_workers();

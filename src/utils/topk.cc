@@ -1,6 +1,7 @@
 #include "utils/topk.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "utils/check.h"
@@ -13,9 +14,9 @@ namespace {
 constexpr int64_t kPrefilterBlock = 16;
 
 // True when some score of the block is >= front. The compares are
-// ordered, so a NaN score (or front) never counts, exactly as in the
-// per-score test. Spelled with vector types because the compiler keeps
-// the plain loop scalar once it is inlined into Push.
+// ordered, so a NaN score never counts, exactly as in the per-score
+// test. Spelled with vector types because the compiler keeps the plain
+// loop scalar once it is inlined into Push.
 #if defined(__GNUC__) || defined(__clang__)
 typedef float v4f __attribute__((vector_size(16)));
 typedef int32_t v4i __attribute__((vector_size(16)));
@@ -36,6 +37,14 @@ inline bool AnyAtLeast(const float* scores, float front) {
 }
 #endif
 
+// RanksBefore as a comparator type: the std heap and sort templates then
+// inline it, where a function pointer costs an indirect call per compare.
+struct RanksBeforeLess {
+  bool operator()(const ScoredId& a, const ScoredId& b) const {
+    return RanksBefore(a, b);
+  }
+};
+
 }  // namespace
 
 TopKSelector::TopKSelector(int64_t k, std::span<const int32_t> exclude)
@@ -51,27 +60,31 @@ void TopKSelector::Offer(const ScoredId& candidate) {
   }
   if (static_cast<int64_t>(heap_.size()) < k_) {
     heap_.push_back(candidate);
-    std::push_heap(heap_.begin(), heap_.end(), RanksBefore);
+    std::push_heap(heap_.begin(), heap_.end(), RanksBeforeLess());
   } else if (RanksBefore(candidate, heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), RanksBefore);
+    std::pop_heap(heap_.begin(), heap_.end(), RanksBeforeLess());
     heap_.back() = candidate;
-    std::push_heap(heap_.begin(), heap_.end(), RanksBefore);
+    std::push_heap(heap_.begin(), heap_.end(), RanksBeforeLess());
   }
 }
 
-void TopKSelector::Push(const float* scores, int64_t n) {
-  PMM_CHECK(scores != nullptr || n == 0);
-  const int64_t base = next_id_;
-  next_id_ += n;
+template <typename IdAt>
+void TopKSelector::PushScores(const float* scores, int64_t n, IdAt id_at) {
   if (k_ == 0) return;
   int64_t i = 0;
   for (; i < n && static_cast<int64_t>(heap_.size()) < k_; ++i) {
-    Offer(ScoredId{static_cast<int32_t>(base + i), scores[i]});
+    Offer(ScoredId{id_at(i), scores[i]});
+  }
+  // Full heap with a NaN front: no score test applies (see the class
+  // comment). Once a number reaches the front the heap holds no NaN, and
+  // only numbers pass the prefilter below, so the front stays a number.
+  for (; i < n && std::isnan(heap_.front().score); ++i) {
+    Offer(ScoredId{id_at(i), scores[i]});
   }
   if (i == n) return;
-  // Full heap: the score prefilter, a block at a time, then per score
-  // within a block that has a hit. The front is re-read after every
-  // candidate that passes (an insertion moves the front).
+  // The score prefilter, a block at a time, then per score within a
+  // block that has a hit. The front is re-read after every candidate
+  // that passes (an insertion moves the front).
   float front = heap_.front().score;
   while (i < n) {
     const int64_t end = std::min(n, i + kPrefilterBlock);
@@ -81,16 +94,29 @@ void TopKSelector::Push(const float* scores, int64_t n) {
     }
     for (; i < end; ++i) {
       if (!(scores[i] >= front)) continue;
-      Offer(ScoredId{static_cast<int32_t>(base + i), scores[i]});
+      Offer(ScoredId{id_at(i), scores[i]});
       front = heap_.front().score;
     }
   }
 }
 
+void TopKSelector::Push(const float* scores, int64_t n) {
+  PMM_CHECK(scores != nullptr || n == 0);
+  const int64_t base = next_id_;
+  next_id_ += n;
+  PushScores(scores, n,
+             [base](int64_t i) { return static_cast<int32_t>(base + i); });
+}
+
+void TopKSelector::Push(const float* scores, const int32_t* ids, int64_t n) {
+  PMM_CHECK((scores != nullptr && ids != nullptr) || n == 0);
+  PushScores(scores, n, [ids](int64_t i) { return ids[i]; });
+}
+
 std::vector<ScoredId> TopKSelector::Take() {
   std::vector<ScoredId> out = std::move(heap_);
   heap_.clear();
-  std::sort(out.begin(), out.end(), RanksBefore);
+  std::sort(out.begin(), out.end(), RanksBeforeLess());
   return out;
 }
 

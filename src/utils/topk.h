@@ -15,20 +15,29 @@ namespace pmmrec {
 // in exactly one place:
 //
 //   a ranks before b  iff  a.score > b.score, or
-//                          a.score == b.score and a.id < b.id.
+//                          a.score == b.score and a.id < b.id,
 //
+// with a NaN score ranking after every number, NaNs by ascending id.
 // The id tie-break makes the output a total order on (score, id), so the
 // selected set and its presentation order are deterministic — independent
 // of k, of which batch a request coalesced into, and of any thread count.
+// Placing NaN explicitly keeps that order a strict weak order (std::sort,
+// heaps and merges are undefined otherwise) even over a corrupt table.
 
 struct ScoredId {
   int32_t id = 0;
   float score = 0.0f;
 };
 
-// The canonical ordering predicate: score descending, id ascending.
+// The canonical ordering predicate: score descending, id ascending, NaN
+// last.
 inline bool RanksBefore(const ScoredId& a, const ScoredId& b) {
-  if (a.score != b.score) return a.score > b.score;
+  if (a.score > b.score) return true;
+  if (a.score < b.score) return false;
+  // Equal scores, or at least one NaN: a number ranks before a NaN.
+  const bool a_nan = a.score != a.score;
+  const bool b_nan = b.score != b.score;
+  if (a_nan != b_nan) return b_nan;
   return a.id < b.id;
 }
 
@@ -37,25 +46,35 @@ inline bool RanksBefore(const ScoredId& a, const ScoredId& b) {
 // first chunk starting at id 0), Take() returns the selection. The
 // result is exactly TopKSelect over the concatenated row, whatever the
 // chunking, so a scan can select from each tile while it is still in
-// cache instead of materialising the full row.
+// cache instead of materialising the full row. The explicit-id Push
+// offers scores of arbitrary distinct ids (an IVF list's catalogue ids)
+// and leaves the contiguous id counter alone; since RanksBefore is a
+// total order, the selection does not depend on the order of the pushes.
 //
 // A bounded min-heap of the k best seen so far: with RanksBefore as the
 // heap comparator the front is the *worst* retained entry, and a
 // candidate displaces it exactly when the candidate ranks before it.
-// Once the heap is full, a candidate is first tested against the front's
-// score alone: RanksBefore(c, front) implies c.score >= front.score for
-// every float, NaN included, so the test skips only candidates the heap
-// would reject, and the heap makes the decisions it would make if offered
-// every score in turn.
+// Once the heap is full and its front is a number, a candidate is first
+// tested against the front's score alone: RanksBefore(c, front) then
+// implies c.score >= front.score (a NaN candidate fails both), so the
+// test skips only candidates the heap would reject. A NaN front is beaten
+// by every number and by a NaN of smaller id, so while one is there
+// every candidate goes to the heap. Either way the heap makes the
+// decisions it would make if offered every score in turn.
 class TopKSelector {
  public:
   explicit TopKSelector(int64_t k, std::span<const int32_t> exclude = {});
 
   void Push(const float* scores, int64_t n);
+  // scores[i] is the score of item ids[i]; ids must be distinct from each
+  // other and from every id pushed before.
+  void Push(const float* scores, const int32_t* ids, int64_t n);
   // The selection in presentation order; leaves the selector empty.
   std::vector<ScoredId> Take();
 
  private:
+  template <typename IdAt>
+  void PushScores(const float* scores, int64_t n, IdAt id_at);
   void Offer(const ScoredId& candidate);
 
   int64_t k_ = 0;

@@ -18,12 +18,18 @@
 //     the exact fp32 score of its item.
 //  5. Config contract: out-of-range nlist/nprobe and bad Retrieve
 //     arguments die under PMM_CHECK.
+//  6. The packed-list scan's edges: lists longer than one kNC tile, empty
+//     lists, limits above the probed row count, non-finite scores, and
+//     the RetrieveInRange shards of a list partition merging back into
+//     Retrieve — each bitwise, at one and four threads.
 //
 // Labelled `ann`; CI also runs this suite under PMMREC_SANITIZE=thread.
 
 #include "core/ivf.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <future>
 #include <string>
 #include <thread>
@@ -378,6 +384,176 @@ TEST(IvfIndexTest, QuantizedListsReturnExactScores) {
       }
       EXPECT_EQ(std::memcmp(&item.score, &want, sizeof(float)), 0)
           << "query " << q << " item " << item.id;
+    }
+  }
+}
+
+// --- Claim 6: the packed-list scan at its edges. ----------------------------
+
+// Full-probe IVF over `rows` against the exact source, at limits
+// `limits` and at one and four threads: bitwise equal, and every list in
+// strict canonical order.
+void ExpectFullProbeIsExact(const std::vector<float>& rows, int64_t n,
+                            int64_t d, const std::vector<float>& queries,
+                            int64_t nq, const IvfIndex& index,
+                            const std::vector<int64_t>& limits,
+                            const std::string& what) {
+  ASSERT_EQ(index.nprobe(), index.nlist());
+  ExactCandidateSource exact(rows.data(), n, d);
+  for (const int64_t limit : limits) {
+    const std::vector<std::vector<ScoredId>> want =
+        exact.Retrieve(queries.data(), nq, limit);
+    for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
+      NumThreadsGuard guard(threads);
+      const std::vector<std::vector<ScoredId>> got =
+          index.Retrieve(queries.data(), nq, limit);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t q = 0; q < want.size(); ++q) {
+        const std::string where = what + " limit=" + std::to_string(limit) +
+                                  " threads=" + std::to_string(threads) +
+                                  " query " + std::to_string(q);
+        ASSERT_EQ(static_cast<int64_t>(got[q].size()), std::min(limit, n))
+            << where;
+        ExpectBitwise(got[q], want[q], where);
+        for (size_t i = 1; i < got[q].size(); ++i) {
+          EXPECT_TRUE(RanksBefore(got[q][i - 1], got[q][i]))
+              << where << " position " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(IvfScanTest, ListLongerThanOneTile) {
+  const SyntheticTable t = MakeClusteredTable(1500, 12, 8, 41);
+  IvfConfig config;
+  config.nlist = 2;
+  config.nprobe = 2;
+  IvfIndex index;
+  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  EXPECT_GT(std::max(index.list_size(0), index.list_size(1)), gemm::kNC);
+  ExpectFullProbeIsExact(t.rows, t.n, t.d, t.queries, t.nq, index,
+                         {1, 25, gemm::kNC + 3}, "nlist 2");
+}
+
+TEST(IvfScanTest, EmptyListsAndLimitAboveTheProbedRows) {
+  // Three distinct rows, each repeated: k-means seeds coincide, so some
+  // of the six lists stay empty, and every score ties with a third of
+  // the table (the id tie-break decides the order).
+  const int64_t n = 90;
+  const int64_t d = 8;
+  const SyntheticTable base = MakeClusteredTable(3, d, 6, 43);
+  std::vector<float> rows(static_cast<size_t>(n * d));
+  for (int64_t i = 0; i < n; ++i) {
+    std::copy_n(base.rows.begin() + (i % 3) * d, d, rows.begin() + i * d);
+  }
+  IvfConfig config;
+  config.nlist = 6;
+  config.nprobe = 6;
+  IvfIndex full;
+  full.Build(rows.data(), n, d, nullptr, config);
+  int64_t empty = 0;
+  for (int64_t l = 0; l < full.nlist(); ++l) empty += full.list_size(l) == 0;
+  EXPECT_GT(empty, 0);
+  ExpectFullProbeIsExact(rows, n, d, base.queries, base.nq, full,
+                         {1, 31, n, n + 50}, "duplicated rows");
+
+  // Probing part of a clustered table with limit above n returns every
+  // probed row, each with its exact score, in canonical order.
+  const SyntheticTable t = MakeClusteredTable(400, 8, 6, 45);
+  config.nlist = 8;
+  config.nprobe = 3;
+  IvfIndex partial;
+  partial.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  const std::vector<std::vector<ScoredId>> exact =
+      ExactCandidateSource(t.rows.data(), t.n, t.d)
+          .Retrieve(t.queries.data(), t.nq, t.n);
+  for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
+    NumThreadsGuard guard(threads);
+    const std::vector<std::vector<ScoredId>> got =
+        partial.Retrieve(t.queries.data(), t.nq, t.n + 50);
+    for (int64_t q = 0; q < t.nq; ++q) {
+      const std::vector<ScoredId>& row = got[static_cast<size_t>(q)];
+      EXPECT_GT(row.size(), 0u);
+      EXPECT_LT(static_cast<int64_t>(row.size()), t.n);
+      // The exact list restricted to the returned ids, in its order.
+      std::vector<int32_t> ids;
+      for (const ScoredId& e : row) ids.push_back(e.id);
+      std::sort(ids.begin(), ids.end());
+      std::vector<ScoredId> want;
+      for (const ScoredId& e : exact[static_cast<size_t>(q)]) {
+        if (std::binary_search(ids.begin(), ids.end(), e.id)) {
+          want.push_back(e);
+        }
+      }
+      ExpectBitwise(row, want, "partial probe, threads=" +
+                                   std::to_string(threads) + " query " +
+                                   std::to_string(q));
+    }
+  }
+}
+
+TEST(IvfScanTest, NonFiniteScoresKeepTheCanonicalOrder) {
+  // NaN, +-inf and zero scores: a NaN row, rows whose one non-zero
+  // component is +-inf (score +-inf by the sign of the query's first
+  // component), and an all-zero row, among ordinary clustered rows.
+  SyntheticTable t = MakeClusteredTable(600, 12, 12, 47);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  auto set_row = [&](int64_t i, float first, float rest) {
+    std::fill_n(t.rows.begin() + i * t.d, t.d, rest);
+    t.rows[static_cast<size_t>(i * t.d)] = first;
+  };
+  set_row(17, nan, nan);
+  set_row(230, inf, 0.0f);
+  set_row(231, -inf, 0.0f);
+  set_row(402, 0.0f, 0.0f);
+  set_row(599, inf, 0.0f);
+  IvfConfig config;
+  config.nlist = 20;
+  config.nprobe = 20;
+  IvfIndex index;
+  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  ExpectFullProbeIsExact(t.rows, t.n, t.d, t.queries, t.nq, index,
+                         {1, 15, t.n}, "non-finite rows");
+  // The NaN row ranks after every number.
+  const std::vector<std::vector<ScoredId>> all =
+      index.Retrieve(t.queries.data(), t.nq, t.n);
+  for (const std::vector<ScoredId>& row : all) {
+    EXPECT_EQ(row.back().id, 17);
+  }
+}
+
+TEST(IvfScanTest, RangeShardsMergeIntoRetrieve) {
+  const SyntheticTable t = MakeClusteredTable(700, 12, 16, 49);
+  IvfConfig config;
+  config.nlist = 20;
+  config.nprobe = 7;
+  IvfIndex index;
+  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  constexpr int64_t kLimit = 30;
+  const int64_t cuts[] = {0, 6, 13, index.nlist()};
+  for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
+    NumThreadsGuard guard(threads);
+    const std::vector<std::vector<ScoredId>> want =
+        index.Retrieve(t.queries.data(), t.nq, kLimit);
+    std::vector<std::vector<ScoredId>> merged(static_cast<size_t>(t.nq));
+    for (size_t s = 0; s + 1 < std::size(cuts); ++s) {
+      const std::vector<std::vector<ScoredId>> shard = index.RetrieveInRange(
+          t.queries.data(), t.nq, kLimit, cuts[s], cuts[s + 1]);
+      for (int64_t q = 0; q < t.nq; ++q) {
+        const std::vector<ScoredId>& part = shard[static_cast<size_t>(q)];
+        merged[static_cast<size_t>(q)].insert(
+            merged[static_cast<size_t>(q)].end(), part.begin(), part.end());
+      }
+    }
+    for (int64_t q = 0; q < t.nq; ++q) {
+      std::vector<ScoredId>& m = merged[static_cast<size_t>(q)];
+      std::sort(m.begin(), m.end(), RanksBefore);
+      if (static_cast<int64_t>(m.size()) > kLimit) m.resize(kLimit);
+      ExpectBitwise(m, want[static_cast<size_t>(q)],
+                    "threads=" + std::to_string(threads) + " query " +
+                        std::to_string(q));
     }
   }
 }

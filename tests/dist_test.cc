@@ -1,9 +1,9 @@
 // Multi-process substrate tests (src/dist/): the per-rank thread budget,
-// the shared-memory barrier, the SOCK_SEQPACKET framing contract, and the
-// headline determinism claim of the data-parallel fit — the trajectory is
-// a pure function of the gradient shard count, never of the worker
-// count, so (workers=1, shards=S) and (workers=W, shards=S) are bitwise
-// identical down to every parameter bit.
+// the shared-memory barrier, the SOCK_SEQPACKET framing contract, forking
+// with the intra-op pool live, and the headline determinism claim of the
+// data-parallel fit — the trajectory is a pure function of the gradient
+// shard count, never of the worker count, so (workers=1, shards=S) and
+// (workers=W, shards=S) are bitwise identical down to every parameter bit.
 //
 // Labelled `scaleout`.
 
@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -229,6 +230,53 @@ TEST(TransportTest, PeerProcessDeathIsPeerDeadAfterDrain) {
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+// --- Fork with a live intra-op pool ------------------------------------------
+
+// Ranks and serving workers fork while the parent's pool workers are
+// parked in their condition-variable wait. Those threads do not exist in
+// the child, so the child's own parallel regions must never wait on them.
+// The pauses let the workers on each side park before the next batch is
+// published, which is when a stale condition variable blocks. The child
+// carries an alarm: a regression fails here in seconds.
+TEST(AfterForkChildTest, ChildRunsParallelWorkWhileParentPoolIsParked) {
+  constexpr auto kPark = std::chrono::milliseconds(20);
+  NumThreadsGuard guard(4);
+  std::atomic<int64_t> sum{0};
+  const auto run = [&sum] {
+    sum = 0;
+    ParallelFor(0, 1 << 12, 1, [&sum](int64_t begin, int64_t end) {
+      int64_t local = 0;
+      for (int64_t i = begin; i < end; ++i) local += i;
+      sum += local;
+    });
+  };
+  run();  // Spawns the parent's workers; they park once the batch ends.
+  const int64_t expected = sum.load();
+  std::this_thread::sleep_for(kPark);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(10);
+    dist::AfterForkChild(/*rank=*/1, /*workers=*/2, /*total_threads=*/4);
+    bool ok = true;
+    for (int round = 0; round < 4; ++round) {
+      run();
+      ok = ok && sum.load() == expected;
+      std::this_thread::sleep_for(kPark);
+    }
+    _exit(ok ? 0 : 3);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(status))
+      << "child killed by signal " << WTERMSIG(status);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "child summed a wrong total";
+  run();  // The parent's pool is untouched by the child.
+  EXPECT_EQ(sum.load(), expected);
 }
 
 // --- Data-parallel fit -------------------------------------------------------

@@ -9,10 +9,12 @@
 // a small relative tolerance once k crosses kKC (where the blocked path
 // legitimately re-associates across KC blocks). The pre-packed NT kernel
 // (GemmNTPacked) rides along in the NT cases: it must equal GemmNT
-// bitwise at every shape and column banding.
+// bitwise at every shape and column banding, including its one-row-at-a-
+// time path for fewer than kMR rows.
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -193,6 +195,57 @@ TEST(GemmKernelTest, PackedFollowsTheReferenceKernelSetting) {
     ASSERT_EQ(c_packed[static_cast<size_t>(i)], c_ref[static_cast<size_t>(i)])
         << "elem " << i;
   }
+}
+
+// The packed kernel runs rows past its last whole kMR tile (every row
+// below kMR) one A row at a time over several panels. It must still be
+// bitwise GemmNT when C already holds values,
+// at ragged band widths, at band offsets past the first panel and tile,
+// and across KC blocks (k = 257, 300), with strided A and C, under both
+// kernel settings. The operand either ends with the band (zero-padded
+// last panel) or continues past it (real columns in the padded lanes,
+// which must never reach C).
+TEST(GemmKernelTest, PackedSmallMMatchesGemmNT) {
+  Rng rng(35);
+  const gemm::Kernel before = gemm::ActiveKernel();
+  for (const gemm::Kernel kernel :
+       {gemm::Kernel::kBlocked, gemm::Kernel::kReference}) {
+    gemm::SetKernel(kernel);
+    for (const int64_t k : {1, 32, 256, 257, 300}) {
+      for (const int64_t j0 : {0, 8, 512}) {
+        for (const int64_t nc : {1, 7, 8, 9, 33, 513}) {
+          for (const int64_t tail : {0, 3}) {
+            const int64_t n = j0 + nc + tail;
+            const std::vector<float> b = RandomVec(n * k, rng);
+            const gemm::PackedNT packed = gemm::PackNT(b.data(), n, k, k);
+            for (const int64_t m : {1, 2, 3, 4, 5, 7, 11}) {
+              const int64_t lda = k + 2;
+              const int64_t ldc = nc + 5;
+              const std::vector<float> a = RandomVec(m * lda, rng);
+              const std::vector<float> c0 = RandomVec(m * ldc, rng);
+              std::vector<float> want = c0;
+              std::vector<float> got = c0;
+              gemm::GemmNT(a.data(), b.data() + j0 * k, want.data(), m, k, nc,
+                           lda, k, ldc);
+              gemm::GemmNTPacked(a.data(), packed, got.data(), m, j0, nc, lda,
+                                 ldc);
+              for (int64_t i = 0; i < m * ldc; ++i) {
+                ASSERT_EQ(std::memcmp(&got[static_cast<size_t>(i)],
+                                      &want[static_cast<size_t>(i)],
+                                      sizeof(float)),
+                          0)
+                    << (kernel == gemm::Kernel::kBlocked ? "blocked"
+                                                         : "reference")
+                    << " m=" << m << " k=" << k << " j0=" << j0
+                    << " nc=" << nc << " tail=" << tail << " elem=" << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  gemm::SetKernel(before);
 }
 
 // Row/column-band restriction via pointer offset + leading dimension: the

@@ -174,8 +174,10 @@ std::vector<ScoredId> SelectInChunks(const std::vector<float>& scores,
 
 // The per-element heap loop TopKSelect ran before the streaming selector
 // existed: no prefilter, exclusion first, then the bounded heap. The
-// selector must make exactly its decisions, which NaN scores would expose
-// (they break the heap's ordering, so any different decision shows).
+// selector must make exactly its decisions; NaN scores would expose a
+// prefilter that skips a candidate the heap accepts (a NaN front is
+// displaced by every number, which a score test against it never
+// passes).
 std::vector<ScoredId> PerElementHeapReference(
     const std::vector<float>& scores, int64_t k,
     const std::vector<int32_t>& exclude) {
@@ -278,6 +280,81 @@ TEST(TopKSelectorTest, NaNAndInfinitiesMatchThePerElementHeap) {
   ExpectBitwise(TopKSelect(nan_first.data(), 64, 8),
                 PerElementHeapReference(nan_first, 8, {}), "nan front");
   ExpectChunkingInvariant(nan_first, {8, 20}, {}, "nan front");
+}
+
+TEST(TopKSelectTest, NaNRanksAfterEveryNumber) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> scores = {nan, 1.0f, -inf, nan, inf, 0.0f, -0.0f};
+  const std::vector<ScoredId> got = TopKSelect(scores.data(), 7, 7);
+  const std::vector<int32_t> want_ids = {4, 1, 5, 6, 2, 0, 3};
+  ASSERT_EQ(got.size(), want_ids.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want_ids[i]) << "position " << i;
+  }
+  // A strict weak order: irreflexive, and a NaN neither ties nor beats a
+  // number.
+  const ScoredId a{0, nan}, b{1, 1.0f}, c{3, nan};
+  EXPECT_FALSE(RanksBefore(a, a));
+  EXPECT_TRUE(RanksBefore(b, a));
+  EXPECT_FALSE(RanksBefore(a, b));
+  EXPECT_TRUE(RanksBefore(a, c));
+  EXPECT_FALSE(RanksBefore(c, a));
+}
+
+// Explicit-id pushes in shuffled order (an IVF probe's lists arrive in
+// probe order, not id order) select exactly what one contiguous push of
+// the whole row selects, NaN included: a NaN front and later NaNs of
+// smaller id must both be handled.
+TEST(TopKSelectorTest, ExplicitIdPushMatchesContiguousPush) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> scores = RandomScores(300, 51, /*with_ties=*/true);
+  for (const size_t i : {3u, 40u, 41u, 150u, 298u}) scores[i] = nan;
+  scores[77] = inf;
+  scores[12] = -inf;
+  // Mostly NaN with a few numbers: with ids pushed in descending order,
+  // the heap front is a NaN of large id when smaller-id NaNs arrive.
+  std::vector<float> mostly_nan(120, nan);
+  for (const size_t i : {7u, 60u, 61u, 119u}) {
+    mostly_nan[i] = static_cast<float>(i % 3);
+  }
+  const std::vector<int32_t> exclude = {5, 41, 5};
+  std::mt19937 rng(53);
+  for (const std::vector<float>* row :
+       std::vector<const std::vector<float>*>{&scores, &mostly_nan}) {
+    const int64_t n = static_cast<int64_t>(row->size());
+    std::vector<int32_t> order(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      order[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+    }
+    const std::vector<int32_t> descending(order.rbegin(), order.rend());
+    std::vector<int32_t> shuffled = order;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    for (const std::vector<int32_t>* ids :
+         std::vector<const std::vector<int32_t>*>{&descending, &shuffled}) {
+      std::vector<float> permuted(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i) {
+        permuted[static_cast<size_t>(i)] =
+            (*row)[static_cast<size_t>((*ids)[static_cast<size_t>(i)])];
+      }
+      for (const int64_t k : {int64_t{1}, int64_t{3}, int64_t{10},
+                              int64_t{50}, n + 5}) {
+        for (const int64_t chunk : {int64_t{1}, int64_t{16}, int64_t{37}, n}) {
+          TopKSelector selector(k, exclude);
+          for (int64_t i = 0; i < n; i += chunk) {
+            selector.Push(permuted.data() + i, ids->data() + i,
+                          std::min(chunk, n - i));
+          }
+          ExpectBitwise(selector.Take(),
+                        TopKSelect(row->data(), n, k, exclude),
+                        "n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                            " chunk=" + std::to_string(chunk) +
+                            (ids == &shuffled ? " shuffled" : " descending"));
+        }
+      }
+    }
+  }
 }
 
 TEST(TopKSelectorTest, KExceedingNAndExclusions) {
