@@ -1,6 +1,6 @@
 // ANN retrieval benchmark: IVF candidate retrieval (src/core/ivf.h) vs
 // the exact full scan, at a catalogue scale the synthetic suite never
-// reaches. Four phases, one JSON artifact:
+// reaches. Three phases, one JSON artifact:
 //
 //   1. Synthetic clustered catalogue — n ~ 100k * PMMREC_SCALE items
 //      (floor 2000) in R^32, a mixture of Gaussian clusters; queries are
@@ -17,12 +17,9 @@
 //   3. recall@10 / throughput sweep over nprobe — candidate recall of the
 //      exact top-10 and retrieval users/sec per setting, plus the exact
 //      full-scan throughput as the speedup denominator.
-//   4. Combined IVF+int8 row — the index built over the int8 quantized
-//      table (QGemmNT in-list scan + exact fp32 re-rank) at the default
-//      nprobe.
 //
-// Emits BENCH_ann.json with the sweep, the default-nprobe row, the
-// combined row, and the bitwise gate verdict.
+// Emits BENCH_ann.json with the sweep, the default-nprobe row, and the
+// bitwise gate verdict.
 //
 // Usage: bench_ann [--out-dir DIR]
 // Knobs: PMMREC_SCALE / PMMREC_SEED / PMMREC_NUM_THREADS.
@@ -170,7 +167,7 @@ int Run(const std::string& out_dir) {
     IvfConfig full = config;
     full.nprobe = nlist;
     IvfIndex index;
-    index.Build(rows.data(), n, kDim, nullptr, full);
+    index.Build(rows.data(), n, kDim, full);
     const std::vector<std::vector<ScoredId>> got =
         IvfCandidateSource(&index).Retrieve(queries.data(), kQueries, kTopK);
     for (int64_t q = 0; q < kQueries; ++q) {
@@ -194,7 +191,7 @@ int Run(const std::string& out_dir) {
     IvfConfig c = config;
     c.nprobe = p;
     IvfIndex index;
-    index.Build(rows.data(), n, kDim, nullptr, c);
+    index.Build(rows.data(), n, kDim, c);
     IvfCandidateSource source(&index);
     std::vector<std::vector<ScoredId>> lists;
     SweepRow row;
@@ -213,30 +210,6 @@ int Run(const std::string& out_dir) {
                 static_cast<long long>(p), row.users_per_s, row.recall_at_10,
                 row.speedup, p == default_nprobe ? ", default" : "");
   }
-
-  // ---- Phase 4: combined IVF+int8 row at the default nprobe. ----
-  QuantizedTable qt;
-  QuantizeTableRows(rows.data(), n, kDim, &qt);
-  IvfIndex combined_index;
-  combined_index.Build(rows.data(), n, kDim, &qt, config);
-  IvfCandidateSource combined(&combined_index);
-  std::vector<std::vector<ScoredId>> combined_lists;
-  SweepRow combined_row;
-  combined_row.nprobe = default_nprobe;
-  combined_row.users_per_s = TimedRetrieve(combined, queries.data(), kQueries,
-                                           kTopK, &combined_lists);
-  combined_row.speedup = combined_row.users_per_s / exact_users_per_s;
-  double combined_recall = 0;
-  for (int64_t q = 0; q < kQueries; ++q) {
-    combined_recall += RecallAt10(combined_lists[static_cast<size_t>(q)],
-                                  exact_lists[static_cast<size_t>(q)]);
-  }
-  combined_row.recall_at_10 =
-      combined_recall / static_cast<double>(kQueries);
-  std::printf("ivf+int8 nprobe %lld  %9.1f users/s  recall@10 %.4f  (%.2fx)\n",
-              static_cast<long long>(default_nprobe),
-              combined_row.users_per_s, combined_row.recall_at_10,
-              combined_row.speedup);
 
   // ---- Report. ----
   const std::string path = out_dir + "/BENCH_ann.json";
@@ -262,14 +235,8 @@ int Run(const std::string& out_dir) {
                  row.users_per_s, row.speedup,
                  i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(f,
-               "  ],\n  \"ivf_int8\": {\"nprobe\": %lld, "
-               "\"recall_at_10\": %.4f, \"users_per_s\": %.1f, "
-               "\"speedup_vs_exact\": %.2f},\n"
-               "  \"bitwise_exact_gate\": %s\n}\n",
-               static_cast<long long>(combined_row.nprobe),
-               combined_row.recall_at_10, combined_row.users_per_s,
-               combined_row.speedup, bitwise_exact ? "true" : "false");
+  std::fprintf(f, "  ],\n  \"bitwise_exact_gate\": %s\n}\n",
+               bitwise_exact ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   return bitwise_exact ? 0 : 1;

@@ -33,17 +33,11 @@ Tensor SequentialRecBase::TrainStepLoss(const SeqBatch& batch) {
   return DapLoss(queries, keys, batch);
 }
 
-bool SequentialRecBase::QuantServingEnabled() const {
-  return quantized_serving_ || QuantServingEnvEnabled();
-}
-
 void SequentialRecBase::EnsureTables() {
   PMM_CHECK_MSG(dataset_ != nullptr, "AttachDataset must be called first");
   // Scoring implies eval mode (deterministic dropout path); entering it
   // here keeps "score without an explicit PrepareForEval" working.
   if (training()) SetTraining(false);
-  // Sticky enable, matching PMMRecModel::EnsureItemTable.
-  if (QuantServingEnabled()) item_cache_.EnableQuantization(true);
   item_cache_.Ensure(dataset_->num_items(),
                      [this](const std::vector<int32_t>& ids) {
                        Tensor raw = ItemReps(ids);
@@ -160,50 +154,6 @@ void SequentialRecBase::ScoreItemsBatch(
   }
   PMM_TRACE_COUNT("infer.users_scored",
                   static_cast<int64_t>(prefixes.size()));
-}
-
-std::vector<std::vector<ScoredId>> SequentialRecBase::ScoreUsersCandidates(
-    std::span<const std::vector<int32_t>> prefixes, int64_t window) {
-  std::vector<std::vector<ScoredId>> results(prefixes.size());
-  if (prefixes.empty()) return results;
-  item_cache_.EnableQuantization(true);
-  EnsureTables();
-  const std::shared_ptr<const ServingSnapshot> snap = item_cache_.Pin();
-  PMM_CHECK_MSG(snap->quantized, "snapshot was built without quantized tables");
-  const int64_t n_items = snap->num_items;
-  const int64_t eff = EffectiveRerankWindow(window, n_items);
-  PMM_TRACE_SCOPE_AT("quant.score_batch", kOp, "quant.score_batch.ns");
-  InferenceMode inference;
-
-  // Same length grouping as ScoreItemsBatch; the candidate/re-rank stage
-  // replaces only the full-table MatMulNT against the key table.
-  std::vector<std::vector<int64_t>> groups(
-      static_cast<size_t>(max_seq_len_) + 1);
-  for (size_t u = 0; u < prefixes.size(); ++u) {
-    PMM_CHECK_MSG(!prefixes[u].empty(), "empty prefix in batch");
-    const int64_t len = std::min<int64_t>(
-        static_cast<int64_t>(prefixes[u].size()), max_seq_len_);
-    groups[static_cast<size_t>(len)].push_back(static_cast<int64_t>(u));
-  }
-
-  for (int64_t len = 1; len <= max_seq_len_; ++len) {
-    const std::vector<int64_t>& group = groups[static_cast<size_t>(len)];
-    if (group.empty()) continue;
-    const int64_t g = static_cast<int64_t>(group.size());
-
-    Tensor queries =
-        EncodeQueries(*snap, prefixes, group, len);  // [g, score_dim]
-    std::vector<std::vector<ScoredId>> group_results = QuantCandidateTopK(
-        snap->quantized_table(kKeyTable),
-        snap->table_data(kKeyTable).data(), queries.data(), g, eff);
-    for (int64_t r = 0; r < g; ++r) {
-      results[static_cast<size_t>(group[static_cast<size_t>(r)])] =
-          std::move(group_results[static_cast<size_t>(r)]);
-    }
-  }
-  PMM_TRACE_COUNT("quant.users_scored",
-                  static_cast<int64_t>(prefixes.size()));
-  return results;
 }
 
 }  // namespace pmmrec

@@ -46,19 +46,6 @@ class SequentialRecBase : public Module, public TrainableRecommender {
   // Serving cache over raw item reps (table 0) and scoring keys (table 1).
   const ItemTableCache& item_table_cache() const { return item_cache_; }
 
-  // --- Quantized serving ----------------------------------------------------
-  // Same two-stage int8 candidate / exact fp32 re-rank scheme as
-  // PMMRecModel (see DESIGN.md "Quantized serving"), scoring against the
-  // quantized key table. Enabled per model via the setter or globally via
-  // PMMREC_QUANT=1; the fp32 path stays the default.
-  void SetQuantizedServing(bool enabled) { quantized_serving_ = enabled; }
-  bool QuantServingEnabled() const;
-  // For each prefix, the re-rank window's candidates with exact fp32
-  // scores, fully ordered — each score bitwise equal to the corresponding
-  // ScoreItemsBatch element. `window` 0 = auto (min(4096, n_items)).
-  std::vector<std::vector<ScoredId>> ScoreUsersCandidates(
-      std::span<const std::vector<int32_t>> prefixes, int64_t window = 0);
-
  protected:
   // Called after a dataset is attached (features, codebooks, ...).
   virtual void OnAttachDataset() {}
@@ -91,7 +78,6 @@ class SequentialRecBase : public Module, public TrainableRecommender {
   int64_t max_seq_len_;
   Rng rng_;
   const Dataset* dataset_ = nullptr;
-  bool quantized_serving_ = false;
 
   // Serving cache, invalidated when training resumes or the dataset /
   // parameters change.

@@ -81,19 +81,10 @@ struct PMMRecConfig {
   // every value — see DESIGN.md "Threading model".
   int64_t num_threads = 0;
 
-  // Quantized serving (DESIGN.md "Quantized serving"): two-stage int8
-  // candidate pass + exact fp32 re-rank. Off by default — fp32 stays the
-  // serving baseline; PMMREC_QUANT=1 in the environment also enables it.
-  bool quantized_serving = false;
-  // Candidate window re-ranked exactly in fp32. 0 = auto
-  // (min(4096, n_items)); explicit values must lie in [1, n_items].
-  int64_t quant_rerank_window = 0;
-
   // ANN candidate retrieval (DESIGN.md "Candidate retrieval"): route
   // serving through the IVF index instead of the exact full scan. Off by
-  // default — exact retrieval stays the serving baseline; PMMREC_ANN=1 in
-  // the environment also enables it. Composes with quantized_serving
-  // (IVF+int8 combined mode: int8 in-list scan + exact fp32 re-rank).
+  // default — exact retrieval stays the serving baseline. pmmrec_cli sets
+  // it from --ann.
   bool ann_serving = false;
   // IVF coarse-quantizer geometry. 0 = auto (nlist ~= sqrt(n_items),
   // nprobe = max(1, nlist / 32)); explicit values are range-checked at

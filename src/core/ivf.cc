@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <utility>
 
 #include "baselines/kmeans.h"
@@ -105,14 +104,10 @@ int64_t IvfIndex::ResolveNprobe(int64_t configured, int64_t nlist) {
 }
 
 void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
-                     const QuantizedTable* qt, const IvfConfig& config) {
+                     const IvfConfig& config) {
   PMM_CHECK(rows != nullptr);
   PMM_CHECK_GT(n, 0);
   PMM_CHECK_GT(d, 0);
-  if (qt != nullptr) {
-    PMM_CHECK_EQ(qt->num_rows, n);
-    PMM_CHECK_EQ(qt->width, d);
-  }
   PMM_TRACE_SCOPE_AT("ann.build", kEpoch, "ann.build.ns");
 
   n_ = n;
@@ -173,57 +168,26 @@ void IvfIndex::Build(const float* rows, int64_t n, int64_t d,
     ids_[static_cast<size_t>(slot)] = static_cast<int32_t>(i);
   }
 
-  quantized_ = qt != nullptr;
+  // Pack each list straight from the source table through a per-list
+  // gather, so no second row-major copy of the table exists. Lists are
+  // independent, so the split over threads cannot change a panel.
   lists_.clear();
-  rows_.clear();
-  q_.clear();
-  scales_.clear();
-  zero_points_.clear();
-  row_sums_.clear();
-  if (!quantized_) {
-    // Pack each list straight from the source table through a per-list
-    // gather, so no second row-major copy of the table exists. Lists are
-    // independent, so the split over threads cannot change a panel.
-    lists_.resize(static_cast<size_t>(nlist_));
-    ParallelFor(0, nlist_, 1, [&](int64_t l0, int64_t l1) {
-      std::vector<float> gathered;
-      for (int64_t l = l0; l < l1; ++l) {
-        const int64_t off = offsets_[static_cast<size_t>(l)];
-        const int64_t len = list_size(l);
-        if (len == 0) continue;
-        gathered.resize(static_cast<size_t>(len * d));
-        for (int64_t j = 0; j < len; ++j) {
-          std::memcpy(gathered.data() + j * d,
-                      rows + ids_[static_cast<size_t>(off + j)] * d,
-                      static_cast<size_t>(d) * sizeof(float));
-        }
-        lists_[static_cast<size_t>(l)] =
-            gemm::PackNT(gathered.data(), len, d, d);
-      }
-    });
-  } else {
-    // Combined mode: gather the fp32 and int8 rows into list order so
-    // each probe scans contiguous memory.
-    rows_.resize(static_cast<size_t>(n * d));
-    q_.resize(static_cast<size_t>(n * d));
-    scales_.resize(static_cast<size_t>(n));
-    zero_points_.resize(static_cast<size_t>(n));
-    row_sums_.resize(static_cast<size_t>(n));
-    ParallelFor(0, n, GrainForCost(d), [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s) {
-        const int64_t src = ids_[static_cast<size_t>(s)];
-        std::memcpy(rows_.data() + s * d, rows + src * d,
+  lists_.resize(static_cast<size_t>(nlist_));
+  ParallelFor(0, nlist_, 1, [&](int64_t l0, int64_t l1) {
+    std::vector<float> gathered;
+    for (int64_t l = l0; l < l1; ++l) {
+      const int64_t off = offsets_[static_cast<size_t>(l)];
+      const int64_t len = list_size(l);
+      if (len == 0) continue;
+      gathered.resize(static_cast<size_t>(len * d));
+      for (int64_t j = 0; j < len; ++j) {
+        std::memcpy(gathered.data() + j * d,
+                    rows + ids_[static_cast<size_t>(off + j)] * d,
                     static_cast<size_t>(d) * sizeof(float));
-        std::memcpy(q_.data() + s * d, qt->q.data() + src * d,
-                    static_cast<size_t>(d) * sizeof(int8_t));
-        scales_[static_cast<size_t>(s)] = qt->scales[static_cast<size_t>(src)];
-        zero_points_[static_cast<size_t>(s)] =
-            qt->zero_points[static_cast<size_t>(src)];
-        row_sums_[static_cast<size_t>(s)] =
-            qt->row_sums[static_cast<size_t>(src)];
       }
-    });
-  }
+      lists_[static_cast<size_t>(l)] = gemm::PackNT(gathered.data(), len, d, d);
+    }
+  });
 
   built_param_version_ = ParamUpdateVersion();
   PMM_TRACE_COUNT("ann.build.rows", n);
@@ -298,8 +262,7 @@ std::vector<std::vector<ScoredId>> IvfIndex::Retrieve(
                 "index was built");
   PMM_TRACE_SCOPE_AT("ann.probe", kOp, "ann.probe.ns");
   std::vector<std::vector<ScoredId>> results =
-      quantized_ ? RetrieveQuantized(queries, num_queries, limit)
-                 : ScanLists(queries, num_queries, limit, 0, nlist_);
+      ScanLists(queries, num_queries, limit, 0, nlist_);
   PMM_TRACE_COUNT("ann.queries", num_queries);
   PMM_TRACE_COUNT("ann.lists_probed", num_queries * nprobe_);
   PMM_TRACE_OBSERVE("ann.lists_probed_per_query", nprobe_);
@@ -310,9 +273,6 @@ std::vector<std::vector<ScoredId>> IvfIndex::RetrieveInRange(
     const float* queries, int64_t num_queries, int64_t limit, int64_t list_lo,
     int64_t list_hi) const {
   PMM_CHECK_MSG(built(), "IVF index not built");
-  PMM_CHECK_MSG(!quantized_,
-                "IVF shard retrieval requires fp32 lists (the quantized "
-                "re-rank window is shard-dependent)");
   PMM_CHECK(queries != nullptr);
   PMM_CHECK_GT(num_queries, 0);
   PMM_CHECK_GE(limit, 1);
@@ -327,139 +287,6 @@ std::vector<std::vector<ScoredId>> IvfIndex::RetrieveInRange(
   // The full centroid ranking picks the probe set, as in Retrieve(), so
   // the shards of a partition scan disjoint slices of the same lists.
   return ScanLists(queries, num_queries, limit, list_lo, list_hi);
-}
-
-std::vector<std::vector<ScoredId>> IvfIndex::RetrieveQuantized(
-    const float* queries, int64_t num_queries, int64_t limit) const {
-  // The whole query batch is quantized once up front.
-  std::vector<int8_t> qq(static_cast<size_t>(num_queries * d_));
-  std::vector<float> qscale(static_cast<size_t>(num_queries));
-  std::vector<int32_t> qsum(static_cast<size_t>(num_queries));
-  QuantizeQueryRows(queries, num_queries, d_, qq.data(), qscale.data(),
-                    qsum.data());
-
-  std::vector<std::vector<ScoredId>> results(
-      static_cast<size_t>(num_queries));
-  std::atomic<int64_t> total_scanned{0};
-  ParallelFor(0, num_queries, /*grain=*/1, [&](int64_t r0, int64_t r1) {
-    BufferArena& arena = BufferArena::Global();
-    std::vector<float> cscores = arena.AcquireVec(static_cast<size_t>(nlist_));
-    // int32 dots, 4 bytes per element like the float buffer.
-    std::vector<float> scan = arena.AcquireVec(static_cast<size_t>(n_));
-    int32_t* dots = reinterpret_cast<int32_t*>(scan.data());
-    std::vector<std::pair<uint64_t, uint32_t>> ranked;
-    std::vector<std::pair<uint64_t, uint32_t>> rank_scratch;
-    std::vector<float> gathered;
-    std::vector<float> exact;
-    // See QuantCandidateTopK: the int32 zero-point correction stays exact
-    // up to d = 2^14; past that the correction needs int64.
-    const bool narrow = d_ <= (int64_t{1} << 14);
-    int64_t worker_scanned = 0;
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* query = queries + r * d_;
-      // QGemmNT over each probed list band, affine correction to
-      // approximate scores (candidate ranking only).
-      ranked.clear();
-      int64_t scanned = 0;
-      const float su = qscale[static_cast<size_t>(r)];
-      const int64_t us = qsum[static_cast<size_t>(r)];
-      const int32_t us32 = static_cast<int32_t>(us);
-      for (const ScoredId& p : ProbeLists(query, cscores.data())) {
-        const int64_t off = offsets_[static_cast<size_t>(p.id)];
-        const int64_t len = list_size(p.id);
-        if (len == 0) continue;
-        std::memset(dots + scanned, 0,
-                    static_cast<size_t>(len) * sizeof(int32_t));
-        gemm::QGemmNT(qq.data() + r * d_, q_.data() + off * d_,
-                      dots + scanned, 1, d_, len, d_, d_, len);
-        for (int64_t j = 0; j < len; ++j) {
-          const int64_t s = off + j;
-          float approx;
-          if (narrow) {
-            const int32_t corrected =
-                dots[scanned + j] -
-                static_cast<int32_t>(zero_points_[static_cast<size_t>(s)]) *
-                    us32;
-            approx = su * scales_[static_cast<size_t>(s)] *
-                     static_cast<float>(corrected);
-          } else {
-            const int64_t corrected =
-                static_cast<int64_t>(dots[scanned + j]) -
-                static_cast<int64_t>(zero_points_[static_cast<size_t>(s)]) *
-                    us;
-            approx = su * scales_[static_cast<size_t>(s)] *
-                     static_cast<float>(corrected);
-          }
-          ranked.emplace_back(
-              detail::OrderKey(approx, ids_[static_cast<size_t>(s)]),
-              static_cast<uint32_t>(s));
-        }
-        scanned += len;
-      }
-      worker_scanned += scanned;
-      PMM_TRACE_OBSERVE("ann.rows_scanned", scanned);
-
-      // Keep the top-eff by key. Descending key order IS the canonical
-      // order, and keys are unique (they embed ~id), so nth_element picks
-      // exactly the heap kernel's prefix set.
-      const int64_t eff = std::min(limit, scanned);
-      if (static_cast<int64_t>(ranked.size()) > eff) {
-        std::nth_element(
-            ranked.begin(), ranked.begin() + eff, ranked.end(),
-            [](const std::pair<uint64_t, uint32_t>& a,
-               const std::pair<uint64_t, uint32_t>& b) {
-              return a.first > b.first;
-            });
-        ranked.resize(static_cast<size_t>(eff));
-      }
-
-      // Exact fp32 re-rank of the kept candidates (the payload is the
-      // slot, so the gather reads the index's own contiguous rows). The
-      // gathered GEMM chain is bitwise the full-scan chain for each id
-      // (tensor/gemm.h), so quantization error never reaches a score.
-      PMM_TRACE_SCOPE_AT("ann.rerank", kOp, "ann.rerank.ns");
-      gathered.resize(static_cast<size_t>(eff * d_));
-      exact.assign(static_cast<size_t>(eff), 0.0f);
-      for (int64_t c = 0; c < eff; ++c) {
-        std::memcpy(
-            gathered.data() + c * d_,
-            rows_.data() +
-                static_cast<int64_t>(ranked[static_cast<size_t>(c)].second) *
-                    d_,
-            static_cast<size_t>(d_) * sizeof(float));
-      }
-      gemm::GemmNT(query, gathered.data(), exact.data(), 1, d_, eff, d_, d_,
-                   eff);
-      // Exact keys with the score bits as payload: the key orders, the
-      // bits survive the key transform's -0 normalization.
-      for (int64_t c = 0; c < eff; ++c) {
-        const int64_t slot =
-            static_cast<int64_t>(ranked[static_cast<size_t>(c)].second);
-        const float score = exact[static_cast<size_t>(c)];
-        uint32_t bits;
-        std::memcpy(&bits, &score, sizeof(bits));
-        ranked[static_cast<size_t>(c)] = {
-            detail::OrderKey(score, ids_[static_cast<size_t>(slot)]), bits};
-      }
-
-      detail::SortPairsByKeyDescending(&ranked, &rank_scratch);
-      std::vector<ScoredId>& out = results[static_cast<size_t>(r)];
-      out.resize(static_cast<size_t>(eff));
-      for (int64_t c = 0; c < eff; ++c) {
-        float score;
-        std::memcpy(&score, &ranked[static_cast<size_t>(c)].second,
-                    sizeof(score));
-        out[static_cast<size_t>(c)] = ScoredId{
-            detail::OrderKeyId(ranked[static_cast<size_t>(c)].first), score};
-      }
-    }
-    total_scanned.fetch_add(worker_scanned, std::memory_order_relaxed);
-    arena.Release(std::move(scan));
-    arena.Release(std::move(cscores));
-  });
-  PMM_TRACE_COUNT("ann.rows_scanned",
-                  total_scanned.load(std::memory_order_relaxed));
-  return results;
 }
 
 // --- IvfCandidateSource -----------------------------------------------------

@@ -50,10 +50,10 @@ class CandidateSource {
 //
 // Two constructors, one tile loop: over a gemm::PackedNT (the packed copy
 // a snapshot serving the exact route owns; see ServingSnapshot) the
-// tiles run straight on its panels; over plain rows (ANN and int8
-// snapshots used as exact references, benches) each tile is packed into
-// the GEMM kernel's thread-local panel buffer as it is scanned. Both
-// produce the same bits. Non-owning: the table must outlive the source.
+// tiles run straight on its panels; over plain rows (ANN snapshots used
+// as exact references, benches) each tile is packed into the GEMM
+// kernel's thread-local panel buffer as it is scanned. Both produce the
+// same bits. Non-owning: the table must outlive the source.
 class ExactCandidateSource final : public CandidateSource {
  public:
   ExactCandidateSource(const float* rows, int64_t n, int64_t d);
@@ -84,18 +84,15 @@ class ExactCandidateSource final : public CandidateSource {
 // centroids and every list once for gemm::GemmNTPacked, and a query scans
 // its probed lists the way ExactCandidateSource scans its table: kNC-column
 // tiles of packed panels, each pushed with the list's catalogue ids into
-// the query's TopKSelector. With a QuantizedTable the lists instead carry
-// row-major fp32 and int8 rows, and the in-list scan runs QGemmNT with an
-// exact fp32 re-rank of the top `limit` (the IVF+int8 combined mode; see
-// DESIGN.md "Quantized serving").
+// the query's TopKSelector.
 //
 // Determinism: k-means is seeded from IvfConfig::seed and bit-identical
 // across thread counts (see baselines/kmeans.h); list membership and
 // order are pure functions of the table; one ParallelFor chunk owns each
 // query. Build() and Retrieve() are therefore bit-identical for every
-// PMMREC_NUM_THREADS setting. Staleness follows the QuantizedTable
-// protocol: the owner stamps built_param_version and Retrieve() checks it
-// against ParamUpdateVersion().
+// PMMREC_NUM_THREADS setting. Staleness: the owner stamps
+// built_param_version and Retrieve() checks it against
+// ParamUpdateVersion().
 class IvfIndex {
  public:
   // Auto-parameter resolution (config value 0): nlist ~= sqrt(n) clamped
@@ -106,19 +103,15 @@ class IvfIndex {
   static int64_t ResolveNprobe(int64_t configured, int64_t nlist);
 
   // Trains the coarse quantizer on a deterministic strided subsample and
-  // fills the inverted lists. `qt`, when non-null, must be the quantized
-  // form of exactly `rows` (same num_rows/width); its int8 rows are
-  // gathered per list and enable the quantized in-list scan.
-  void Build(const float* rows, int64_t n, int64_t d,
-             const QuantizedTable* qt, const IvfConfig& config);
+  // fills the inverted lists.
+  void Build(const float* rows, int64_t n, int64_t d, const IvfConfig& config);
 
   // Ranked candidates per query row ([num_queries, width()]): probes the
   // top `nprobe()` lists by exact centroid score and returns up to
   // min(limit, rows scanned) candidates with exact fp32 scores in
   // canonical order. With nprobe == nlist every row is scanned and the
   // result is bitwise ExactCandidateSource::Retrieve's. Checked errors:
-  // not built, stale param version, limit < 1, non-finite queries (in
-  // quantized mode).
+  // not built, stale param version, limit < 1.
   std::vector<std::vector<ScoredId>> Retrieve(const float* queries,
                                               int64_t num_queries,
                                               int64_t limit) const;
@@ -129,9 +122,7 @@ class IvfIndex {
   // row therefore lands in exactly one shard of a partition, and the
   // union of the shards' candidates over a partition of [0, nlist) is
   // exactly the unsharded candidate multiset (ShardRouter's IVF-mode
-  // merge relies on this). fp32 lists only: the quantized in-list scan's
-  // re-rank window depends on which rows share a shard, which would break
-  // the bitwise merge — combined-mode indexes are a checked error.
+  // merge relies on this).
   std::vector<std::vector<ScoredId>> RetrieveInRange(const float* queries,
                                                      int64_t num_queries,
                                                      int64_t limit,
@@ -143,7 +134,6 @@ class IvfIndex {
   int64_t width() const { return d_; }
   int64_t nlist() const { return nlist_; }
   int64_t nprobe() const { return nprobe_; }
-  bool quantized_lists() const { return quantized_; }
   int64_t list_size(int64_t l) const {
     return offsets_[static_cast<size_t>(l + 1)] -
            offsets_[static_cast<size_t>(l)];
@@ -171,36 +161,23 @@ class IvfIndex {
                                                int64_t num_queries,
                                                int64_t limit, int64_t lo,
                                                int64_t hi) const;
-  // Retrieve() for the IVF+int8 combined mode.
-  std::vector<std::vector<ScoredId>> RetrieveQuantized(const float* queries,
-                                                       int64_t num_queries,
-                                                       int64_t limit) const;
 
   int64_t n_ = 0;
   int64_t d_ = 0;
   int64_t nlist_ = 0;
   int64_t nprobe_ = 0;
-  bool quantized_ = false;
   uint64_t built_param_version_ = 0;
   bool version_check_enabled_ = true;
 
   gemm::PackedNT centroids_;      // [nlist, d], packed
   std::vector<int64_t> offsets_;  // [nlist + 1] slot ranges per list
   std::vector<int32_t> ids_;      // [n] catalogue id at each slot
-  // fp32 lists: list l's rows packed in slot order (empty for an empty
-  // list). Not filled in combined mode.
+  // List l's rows packed in slot order (empty for an empty list).
   std::vector<gemm::PackedNT> lists_;
-  // Combined mode only: the fp32 rows (for the exact re-rank) and the
-  // int8 rows, gathered per slot.
-  std::vector<float> rows_;          // [n, d]
-  std::vector<int8_t> q_;            // [n, d]
-  std::vector<float> scales_;        // [n]
-  std::vector<int8_t> zero_points_;  // [n]
-  std::vector<int32_t> row_sums_;    // [n]
 };
 
 // IvfIndex behind the CandidateSource interface. Non-owning: the index
-// (typically ItemTableCache::ann(t)) must outlive the source.
+// (typically a pinned snapshot's ann_index(t)) must outlive the source.
 class IvfCandidateSource final : public CandidateSource {
  public:
   explicit IvfCandidateSource(const IvfIndex* index);
@@ -210,9 +187,7 @@ class IvfCandidateSource final : public CandidateSource {
                                               int64_t limit) const override;
   int64_t num_rows() const override { return index_->num_rows(); }
   int64_t width() const override { return index_->width(); }
-  const char* name() const override {
-    return index_->quantized_lists() ? "ivf+int8" : "ivf";
-  }
+  const char* name() const override { return "ivf"; }
 
  private:
   const IvfIndex* index_;

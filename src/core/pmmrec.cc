@@ -136,21 +136,7 @@ Tensor PMMRecModel::TrainStepLoss(const SeqBatch& batch) {
   return loss;
 }
 
-bool PMMRecModel::QuantServingEnabled() const {
-  return config_.quantized_serving || QuantServingEnvEnabled();
-}
-
-bool PMMRecModel::AnnServingEnabled() const {
-  return config_.ann_serving || AnnServingEnvEnabled();
-}
-
 void PMMRecModel::ConfigureItemCache() {
-  // Sticky enable: once the quantized path has been requested, every
-  // rebuild also produces the int8 tables (cheap relative to encoding),
-  // so alternating fp32/quant scoring never thrashes rebuilds.
-  if (QuantServingEnabled()) item_cache_.EnableQuantization(true);
-  // Same sticky semantics for the IVF index; when quantization is also
-  // on, the index gathers the int8 rows (combined mode).
   if (AnnServingEnabled()) {
     IvfConfig ivf;
     ivf.nlist = config_.ann_nlist;
@@ -158,9 +144,8 @@ void PMMRecModel::ConfigureItemCache() {
     item_cache_.EnableAnn(ivf);
   }
   // Only the exact route scans the whole table, so only it gets the
-  // packed copy; the IVF and int8 routes would never read it.
-  item_cache_.SetExactScanTable(
-      QuantServingEnabled() || AnnServingEnabled() ? -1 : 0);
+  // packed copy; the IVF route would never read it.
+  item_cache_.SetExactScanTable(AnnServingEnabled() ? -1 : 0);
 }
 
 bool PMMRecModel::EnsureItemTable() {
@@ -202,9 +187,8 @@ std::shared_ptr<const ServingSnapshot> PMMRecModel::PublishServingSnapshot() {
         snap->user_encoder->CopyParametersFrom(user_encoder_,
                                                /*bump_version=*/false);
         snap->user_encoder->SetTraining(false);
-        // Quant/IVF consistency is the snapshot's immutability; the global
+        // IVF consistency is the snapshot's immutability; the global
         // version counter keeps moving underneath and must not fire.
-        for (QuantizedTable& qt : snap->qtables) qt.pinned = true;
         for (std::unique_ptr<IvfIndex>& index : snap->ann_indexes) {
           index->set_version_check(false);
         }
@@ -341,47 +325,6 @@ void PMMRecModel::ScoreUsersBatchedOn(
                            snap->num_items, /*b_broadcast=*/true);
   PMM_TRACE_COUNT("infer.score_gemms", 1);
   PMM_TRACE_COUNT("infer.users_scored", users);
-}
-
-std::vector<std::vector<ScoredId>> PMMRecModel::ScoreUsersCandidates(
-    std::span<const std::vector<int32_t>> prefixes, int64_t window) {
-  if (prefixes.empty()) {
-    return std::vector<std::vector<ScoredId>>(prefixes.size());
-  }
-  // The quantized tables ride along with the fp32 rebuild from here on.
-  item_cache_.EnableQuantization(true);
-  EnsureItemTable();
-  return ScoreUsersCandidatesOn(item_cache_.Pin(), prefixes, window);
-}
-
-std::vector<std::vector<ScoredId>> PMMRecModel::ScoreUsersCandidatesOn(
-    const std::shared_ptr<const ServingSnapshot>& snap,
-    std::span<const std::vector<int32_t>> prefixes, int64_t window) {
-  if (prefixes.empty()) return {};
-  PMM_CHECK(snap != nullptr);
-  PMM_CHECK_MSG(snap->quantized,
-                "snapshot was built without quantized tables");
-  const int64_t n_items = snap->num_items;
-  const int64_t eff = EffectiveRerankWindow(
-      window > 0 ? window : config_.quant_rerank_window, n_items);
-  if (AnnServingEnabled() && snap->ann) {
-    // Combined IVF+int8 route: the index gathered the int8 rows at build
-    // time (quantization is sticky-on here), so retrieval runs the
-    // quantized in-list scan plus the exact fp32 re-rank, bounded by the
-    // same window the full-catalogue candidate pass would use.
-    IvfCandidateSource source(&snap->ann_index(0));
-    return RetrieveWith(*snap, source, prefixes, eff);
-  }
-  PMM_TRACE_SCOPE_AT("quant.score_batch", kOp, "quant.score_batch.ns");
-  // One candidate pass for the whole batch; every query row is selected
-  // independently.
-  const std::vector<float> rows = UserRows(*snap, prefixes);
-  std::vector<std::vector<ScoredId>> results = QuantCandidateTopK(
-      snap->quantized_table(0), snap->table_data(0).data(), rows.data(),
-      static_cast<int64_t>(prefixes.size()), eff);
-  PMM_TRACE_COUNT("quant.users_scored",
-                  static_cast<int64_t>(prefixes.size()));
-  return results;
 }
 
 std::vector<std::vector<ScoredId>> PMMRecModel::RetrieveWith(

@@ -56,8 +56,8 @@ class PMMRecModel : public Module, public TrainableRecommender {
                        float* out) override;
   // Candidate-path evaluation routes only when ANN serving is on — the
   // evaluator then measures the IVF index the serving path actually uses.
-  // Quant-only and fp32 eval stay on the full-scan strategies, so their
-  // metrics are untouched by this interface.
+  // Exact-route eval stays on the full-scan strategies, so its metrics are
+  // untouched by this interface.
   bool SupportsCandidateEval() const override { return AnnServingEnabled(); }
   std::vector<std::vector<ScoredId>> ScoreCandidatesBatch(
       std::span<const std::vector<int32_t>> prefixes, int64_t limit) override;
@@ -78,29 +78,10 @@ class PMMRecModel : public Module, public TrainableRecommender {
   void ScoreUsersBatched(std::span<const std::vector<int32_t>> prefixes,
                          float* out);
 
-  // --- Quantized serving ----------------------------------------------------
-  // True when the two-stage int8 candidate / exact fp32 re-rank path is
-  // routed (config.quantized_serving or PMMREC_QUANT=1). The fp32 path
-  // stays the default and the exactness baseline.
-  bool QuantServingEnabled() const;
-  // Two-stage quantized scorer (usable regardless of QuantServingEnabled();
-  // the flag only routes the broker and CLI). For each prefix, returns the
-  // re-rank window's candidates with EXACT fp32 scores, fully ordered
-  // (score desc, id asc) — each score bitwise equal to the corresponding
-  // ScoreUsersBatched element. `window` 0 uses config.quant_rerank_window
-  // (itself 0 = auto = min(4096, n_items)); out-of-range windows are a
-  // checked error. Shares the packed user-encoder pass with
-  // ScoreUsersBatched, so user representations are bitwise the fp32
-  // path's; the candidate pass then runs once for the whole batch.
-  std::vector<std::vector<ScoredId>> ScoreUsersCandidates(
-      std::span<const std::vector<int32_t>> prefixes, int64_t window = 0);
-
   // --- ANN candidate retrieval ----------------------------------------------
-  // True when serving routes through the IVF index (config.ann_serving or
-  // PMMREC_ANN=1). The exact full scan stays the default and the
-  // exactness baseline. Composes with QuantServingEnabled(): both on is
-  // the IVF+int8 combined mode.
-  bool AnnServingEnabled() const;
+  // True when serving routes through the IVF index (config.ann_serving).
+  // The exact full scan stays the default and the exactness baseline.
+  bool AnnServingEnabled() const { return config_.ann_serving; }
   // Ranked candidates per prefix through the active CandidateSource: the
   // IVF index when AnnServingEnabled(), else the exact full scan. Every
   // returned score is the exact fp32 score (bitwise the corresponding
@@ -116,8 +97,8 @@ class PMMRecModel : public Module, public TrainableRecommender {
   // ground truth). The whole batch shares one tiled catalogue scan (see
   // ExactCandidateSource), over the snapshot's packed table when it
   // carries one — snapshots built while this model serves the exact
-  // route — and over the plain fp32 rows otherwise (ANN and int8
-  // snapshots). Both give the same bits.
+  // route — and over the plain fp32 rows otherwise (ANN snapshots). Both
+  // give the same bits.
   std::vector<std::vector<ScoredId>> RetrieveExactCandidates(
       std::span<const std::vector<int32_t>> prefixes, int64_t limit);
 
@@ -131,26 +112,24 @@ class PMMRecModel : public Module, public TrainableRecommender {
       bool* rebuilt = nullptr);
 
   // Live-mode publish: builds vN+1 off the serving hot path — fp32
-  // table(s), int8 tables (pinned), IVF indexes (version-check off) and a
-  // frozen clone of the user encoder — then swaps it in atomically. Workers keep answering from vN until
-  // the swap; a request admitted under vN is answered entirely from vN.
+  // table(s), IVF indexes (version-check off) and a frozen clone of the
+  // user encoder — then swaps it in atomically. Workers keep answering
+  // from vN until the swap; a request admitted under vN is answered
+  // entirely from vN.
   // When the catalogue only grew since the current snapshot (hot-add at
   // an unchanged param version), only the new rows are encoded. Call from
   // one updater thread (builds are serialized internally).
   std::shared_ptr<const ServingSnapshot> PublishServingSnapshot();
 
   // Snapshot-scoped scoring: identical semantics (and bitwise identical
-  // results at a fixed param version) to the legacy entry points below,
-  // but every read — tables, int8 forms, IVF lists, user-encoder
-  // parameters — comes from `snap`. For strict snapshots (no encoder
+  // results at a fixed param version) to the unscoped entry points above,
+  // but every read — tables, IVF lists, user-encoder parameters — comes
+  // from `snap`. For strict snapshots (no encoder
   // clone) the live encoder is used, which is only sound when no training
   // runs concurrently; live snapshots are fully self-contained.
   void ScoreUsersBatchedOn(const std::shared_ptr<const ServingSnapshot>& snap,
                            std::span<const std::vector<int32_t>> prefixes,
                            float* out);
-  std::vector<std::vector<ScoredId>> ScoreUsersCandidatesOn(
-      const std::shared_ptr<const ServingSnapshot>& snap,
-      std::span<const std::vector<int32_t>> prefixes, int64_t window = 0);
   std::vector<std::vector<ScoredId>> RetrieveCandidatesOn(
       const std::shared_ptr<const ServingSnapshot>& snap,
       std::span<const std::vector<int32_t>> prefixes, int64_t limit);
@@ -161,8 +140,8 @@ class PMMRecModel : public Module, public TrainableRecommender {
   // lists [list_lo, list_hi) — the per-worker scatter half of the
   // ShardRouter's IVF mode (serve/router.h). Probe selection still ranks
   // all centroids, so the union of disjoint shard results over equal
-  // nprobe is exactly the single-process candidate multiset. Requires ANN
-  // serving on and the fp32 (non-quant) IVF path.
+  // nprobe is exactly the single-process candidate multiset. Requires an
+  // ANN snapshot.
   std::vector<std::vector<ScoredId>> RetrieveShardCandidatesOn(
       const std::shared_ptr<const ServingSnapshot>& snap,
       std::span<const std::vector<int32_t>> prefixes, int64_t limit,
@@ -230,8 +209,8 @@ class PMMRecModel : public Module, public TrainableRecommender {
   bool pretraining_objectives_ = false;
   const Dataset* dataset_ = nullptr;
 
-  // Tells the item cache what the serving routes need built with every
-  // snapshot: int8 tables, IVF indexes, or the exact scan's packed table.
+  // Tells the item cache what the serving route needs built with every
+  // snapshot: the IVF index, or the exact scan's packed table.
   void ConfigureItemCache();
   // Rebuilds the serving snapshot if stale (dataset must be attached);
   // returns true iff this call performed the build.

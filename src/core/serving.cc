@@ -1,12 +1,9 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -16,323 +13,11 @@
 #include "nn/optimizer.h"
 #include "utils/rng.h"
 #include "tensor/gemm.h"
-#include "utils/arena.h"
 #include "utils/check.h"
 #include "utils/parallel.h"
 #include "utils/trace.h"
 
 namespace pmmrec {
-
-namespace detail {
-
-// Radix threshold: below it a comparator sort wins on constant factors.
-void SortPairsByKeyDescending(
-    std::vector<std::pair<uint64_t, uint32_t>>* v,
-    std::vector<std::pair<uint64_t, uint32_t>>* scratch) {
-  const size_t sz = v->size();
-  if (sz < 1024) {
-    std::sort(v->begin(), v->end(),
-              [](const std::pair<uint64_t, uint32_t>& a,
-                 const std::pair<uint64_t, uint32_t>& b) {
-                return a.first > b.first;
-              });
-    return;
-  }
-  scratch->resize(sz);
-  std::pair<uint64_t, uint32_t>* src = v->data();
-  std::pair<uint64_t, uint32_t>* dst = scratch->data();
-  for (int pass = 0; pass < 8; ++pass) {
-    const int shift = pass * 8;
-    uint32_t offsets[257] = {0};
-    for (size_t i = 0; i < sz; ++i) {
-      ++offsets[((src[i].first >> shift) & 0xFF) + 1];
-    }
-    for (int b = 0; b < 256; ++b) offsets[b + 1] += offsets[b];
-    for (size_t i = 0; i < sz; ++i) {
-      dst[offsets[(src[i].first >> shift) & 0xFF]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  // Eight passes land the ascending result back in v; flip to descending.
-  std::reverse(v->begin(), v->end());
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::OrderKey;
-using detail::OrderKeyId;
-using detail::SortPairsByKeyDescending;
-
-// Scale floor: keeps stored scales normal floats (a subnormal or zero
-// scale would break the error bound and the dequantization identity for
-// pathologically tiny rows).
-constexpr double kMinScale =
-    static_cast<double>(std::numeric_limits<float>::min());
-
-inline int64_t ClampCode(long v, long lo, long hi) {
-  return std::min(hi, std::max(lo, v));
-}
-
-// One row of the affine table quantizer; see QuantizeTableRows.
-void QuantizeRowAffine(const float* x, int64_t width, int8_t* q,
-                       float* scale, int8_t* zero_point, int32_t* row_sum) {
-  // Range in double (dodges float overflow on e.g. FLT_MAX - -FLT_MAX),
-  // extended to include zero so the zero point always lands in int8.
-  double lo = 0.0, hi = 0.0;
-  for (int64_t j = 0; j < width; ++j) {
-    PMM_CHECK_MSG(std::isfinite(x[j]),
-                  "non-finite table value rejected at quantization");
-    lo = std::min(lo, static_cast<double>(x[j]));
-    hi = std::max(hi, static_cast<double>(x[j]));
-  }
-  double s = (hi - lo) / 255.0;
-  if (!(s >= kMinScale)) s = kMinScale;
-  const long zp = static_cast<long>(
-      ClampCode(std::lround(-128.0 - lo / s), -128, 127));
-  int32_t sum = 0;
-  for (int64_t j = 0; j < width; ++j) {
-    const long code = static_cast<long>(ClampCode(
-        std::lround(static_cast<double>(x[j]) / s) + zp, -128, 127));
-    q[j] = static_cast<int8_t>(code);
-    sum += static_cast<int32_t>(code);
-  }
-  *scale = static_cast<float>(s);
-  *zero_point = static_cast<int8_t>(zp);
-  *row_sum = sum;
-}
-
-}  // namespace
-
-void QuantizeTableRows(const float* rows, int64_t num_rows, int64_t width,
-                       QuantizedTable* out) {
-  PMM_CHECK(rows != nullptr);
-  PMM_CHECK(out != nullptr);
-  PMM_CHECK_GT(num_rows, 0);
-  PMM_CHECK_GT(width, 0);
-  PMM_CHECK_LE(width, gemm::kQMaxK);
-  PMM_TRACE_SCOPE_AT("quant.table.build", kEpoch, "quant.table.build.ns");
-
-  out->num_rows = num_rows;
-  out->width = width;
-  out->q.resize(static_cast<size_t>(num_rows * width));
-  out->scales.resize(static_cast<size_t>(num_rows));
-  out->zero_points.resize(static_cast<size_t>(num_rows));
-  out->row_sums.resize(static_cast<size_t>(num_rows));
-  out->built_param_version = ParamUpdateVersion();
-
-  // Rows quantize independently, so any fixed-grain partition is
-  // bit-identical across thread counts.
-  ParallelFor(0, num_rows, /*grain=*/ItemTableCache::kChunk,
-              [&](int64_t r0, int64_t r1) {
-                for (int64_t r = r0; r < r1; ++r) {
-                  QuantizeRowAffine(
-                      rows + r * width, width,
-                      out->q.data() + r * width,
-                      &out->scales[static_cast<size_t>(r)],
-                      &out->zero_points[static_cast<size_t>(r)],
-                      &out->row_sums[static_cast<size_t>(r)]);
-                }
-              });
-  PMM_TRACE_COUNT("quant.table.rows", num_rows);
-  PMM_TRACE_COUNT("quant.table.bytes",
-                  static_cast<int64_t>(out->bytes()));
-}
-
-void QuantizeQueryRows(const float* queries, int64_t num_queries,
-                       int64_t width, int8_t* q, float* scales,
-                       int32_t* sums) {
-  for (int64_t r = 0; r < num_queries; ++r) {
-    const float* x = queries + r * width;
-    double amax = 0.0;
-    for (int64_t j = 0; j < width; ++j) {
-      PMM_CHECK_MSG(std::isfinite(x[j]),
-                    "non-finite query value rejected at quantization");
-      amax = std::max(amax, std::fabs(static_cast<double>(x[j])));
-    }
-    double s = amax / 127.0;
-    if (!(s >= kMinScale)) s = kMinScale;
-    int32_t sum = 0;
-    for (int64_t j = 0; j < width; ++j) {
-      const long code = static_cast<long>(ClampCode(
-          std::lround(static_cast<double>(x[j]) / s), -127, 127));
-      q[r * width + j] = static_cast<int8_t>(code);
-      sum += static_cast<int32_t>(code);
-    }
-    scales[r] = static_cast<float>(s);
-    sums[r] = sum;
-  }
-}
-
-int64_t EffectiveRerankWindow(int64_t configured, int64_t num_items) {
-  PMM_CHECK_GT(num_items, 0);
-  if (configured == 0) return std::min(kDefaultRerankWindow, num_items);
-  PMM_CHECK_MSG(configured >= 1 && configured <= num_items,
-                "re-rank window must be in [1, n_items]");
-  return configured;
-}
-
-bool QuantServingEnvEnabled() {
-  const char* env = std::getenv("PMMREC_QUANT");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
-
-bool AnnServingEnvEnabled() {
-  const char* env = std::getenv("PMMREC_ANN");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
-
-std::vector<std::vector<ScoredId>> QuantCandidateTopK(
-    const QuantizedTable& qt, const float* fp32_rows, const float* queries,
-    int64_t num_queries, int64_t window) {
-  PMM_CHECK(fp32_rows != nullptr);
-  PMM_CHECK(queries != nullptr);
-  const int64_t n = qt.num_rows;
-  const int64_t d = qt.width;
-  PMM_CHECK_GT(n, 0);
-  PMM_CHECK_GT(num_queries, 0);
-  // A table pinned into a live ServingSnapshot is consistent by
-  // construction (immutable bundle at one version), so only unpinned
-  // tables answer to the global counter.
-  PMM_CHECK_MSG(qt.pinned || qt.built_param_version == ParamUpdateVersion(),
-                "stale quantized table: ParamUpdateVersion advanced since "
-                "the table was built");
-  PMM_CHECK_MSG(window >= 1 && window <= n,
-                "re-rank window must be in [1, n_items]");
-  PMM_TRACE_SCOPE_AT("quant.candidate", kOp, "quant.candidate.ns");
-
-  // Symmetric-quantized queries.
-  std::vector<int8_t> qq(static_cast<size_t>(num_queries * d));
-  std::vector<float> qscale(static_cast<size_t>(num_queries));
-  std::vector<int32_t> qsum(static_cast<size_t>(num_queries));
-  QuantizeQueryRows(queries, num_queries, d, qq.data(), qscale.data(),
-                    qsum.data());
-
-  // Int8 candidate pass over the whole catalogue. The arena hands out
-  // float vectors; int32 dots live in the same 4 bytes per element.
-  BufferArena& arena = BufferArena::Global();
-  std::vector<float> dots_storage =
-      arena.AcquireVec(static_cast<size_t>(num_queries * n));
-  int32_t* dots = reinterpret_cast<int32_t*>(dots_storage.data());
-  std::memset(dots, 0, static_cast<size_t>(num_queries * n) * sizeof(int32_t));
-  gemm::QGemmNT(qq.data(), qt.q.data(), dots, num_queries, d, n, d, d, n);
-
-  std::vector<std::vector<ScoredId>> results(
-      static_cast<size_t>(num_queries));
-  // Each query is fully self-contained (owner dimension = query row), so
-  // the per-user selection + re-rank parallelizes bit-identically.
-  ParallelFor(0, num_queries, /*grain=*/1, [&](int64_t r0, int64_t r1) {
-    std::vector<uint64_t> keys(static_cast<size_t>(n));
-    // Order key plus the exact score's raw bits: the key alone orders the
-    // window (keys are unique — they embed ~id), while the raw bits
-    // survive the -0 normalization the key transform applies, so the
-    // reported scores stay bitwise the fp32 path's.
-    std::vector<std::pair<uint64_t, uint32_t>> ranked(
-        static_cast<size_t>(window));
-    std::vector<std::pair<uint64_t, uint32_t>> rank_scratch;
-    BufferArena& worker_arena = BufferArena::Global();
-    std::vector<float> gathered =
-        worker_arena.AcquireVec(static_cast<size_t>(window * d));
-    std::vector<float> exact =
-        worker_arena.AcquireVec(static_cast<size_t>(window));
-    // zp_i * qsum_u and dot - zp_i * qsum_u both fit int32 up to
-    // k = 2^14 (|dot| <= 127*128*k and |zp*qsum| <= 128*127*k, so the
-    // difference is < 2^31); past that the exact path needs int64.
-    const bool narrow = d <= (int64_t{1} << 14);
-    for (int64_t r = r0; r < r1; ++r) {
-      // Approximate fp32 scores from the int32 dots:
-      //   h . x_i ~= su * scale_i * (dot - zp_i * qsum_u)
-      // (user side symmetric, item side affine), encoded directly as
-      // order keys. Per-element arithmetic, so deterministic for any
-      // batch shape or thread count.
-      const float su = qscale[static_cast<size_t>(r)];
-      const int64_t us = qsum[static_cast<size_t>(r)];
-      const int32_t us32 = static_cast<int32_t>(us);
-      const int32_t* dr = dots + r * n;
-      if (narrow) {
-        for (int64_t i = 0; i < n; ++i) {
-          const int32_t corrected =
-              dr[i] -
-              static_cast<int32_t>(qt.zero_points[static_cast<size_t>(i)]) *
-                  us32;
-          keys[static_cast<size_t>(i)] = OrderKey(
-              su * qt.scales[static_cast<size_t>(i)] *
-                  static_cast<float>(corrected),
-              static_cast<int32_t>(i));
-        }
-      } else {
-        for (int64_t i = 0; i < n; ++i) {
-          const int64_t corrected =
-              static_cast<int64_t>(dr[i]) -
-              static_cast<int64_t>(qt.zero_points[static_cast<size_t>(i)]) *
-                  us;
-          keys[static_cast<size_t>(i)] = OrderKey(
-              su * qt.scales[static_cast<size_t>(i)] *
-                  static_cast<float>(corrected),
-              static_cast<int32_t>(i));
-        }
-      }
-      // Window selection by nth_element on the raw keys: descending key
-      // order IS the canonical (score desc, id asc) total order, so the
-      // selected PREFIX SET is exactly the heap-based TopKSelect's — only
-      // its internal order differs, and the exact re-rank below re-sorts
-      // anyway. O(n) on 8-byte scalars beats a comparator heap by a wide
-      // margin at serving window sizes.
-      std::nth_element(keys.begin(), keys.begin() + window, keys.end(),
-                       std::greater<uint64_t>());
-
-      // Exact fp32 re-rank: gather the candidates' rows and reduce with
-      // the same per-element accumulation chain the full-table GEMM uses.
-      // The chain depends only on (K, element coordinates) — see
-      // tensor/gemm.h — so each exact score is bitwise the fp32 path's
-      // score for that id, independent of the gather order.
-      {
-        PMM_TRACE_SCOPE_AT("quant.rerank", kOp, "quant.rerank.ns");
-        for (int64_t c = 0; c < window; ++c) {
-          std::memcpy(gathered.data() + c * d,
-                      fp32_rows + static_cast<int64_t>(OrderKeyId(
-                                      keys[static_cast<size_t>(c)])) *
-                                      d,
-                      static_cast<size_t>(d) * sizeof(float));
-        }
-        std::memset(exact.data(), 0,
-                    static_cast<size_t>(window) * sizeof(float));
-        gemm::GemmNT(queries + r * d, gathered.data(), exact.data(), 1, d,
-                     window, d, d, window);
-      }
-      // Final ordering on exact-score keys: one descending scalar-key
-      // sort instead of a comparator sort over structs.
-      for (int64_t c = 0; c < window; ++c) {
-        const float score = exact[static_cast<size_t>(c)];
-        uint32_t bits;
-        std::memcpy(&bits, &score, sizeof(bits));
-        ranked[static_cast<size_t>(c)] = {
-            OrderKey(score, OrderKeyId(keys[static_cast<size_t>(c)])), bits};
-      }
-      SortPairsByKeyDescending(&ranked, &rank_scratch);
-      std::vector<ScoredId>& out = results[static_cast<size_t>(r)];
-      out.resize(static_cast<size_t>(window));
-      for (int64_t c = 0; c < window; ++c) {
-        float score;
-        std::memcpy(&score, &ranked[static_cast<size_t>(c)].second,
-                    sizeof(score));
-        out[static_cast<size_t>(c)] =
-            ScoredId{OrderKeyId(ranked[static_cast<size_t>(c)].first), score};
-      }
-    }
-    worker_arena.Release(std::move(exact));
-    worker_arena.Release(std::move(gathered));
-  });
-
-  arena.Release(std::move(dots_storage));
-
-  PMM_TRACE_COUNT("quant.candidate.users", num_queries);
-  PMM_TRACE_COUNT("quant.candidate.items", num_queries * n);
-  PMM_TRACE_COUNT("quant.rerank.rows", num_queries * window);
-  PMM_TRACE_OBSERVE("quant.rerank_window", window);
-  return results;
-}
 
 // --- ServingSnapshot --------------------------------------------------------
 
@@ -346,12 +31,6 @@ ServingSnapshot::~ServingSnapshot() {
 
 const std::vector<float>& ServingSnapshot::table_data(int64_t t) const {
   return *table(t).impl()->data;
-}
-
-const QuantizedTable& ServingSnapshot::quantized_table(int64_t t) const {
-  PMM_CHECK_GE(t, 0);
-  PMM_CHECK_LT(t, static_cast<int64_t>(qtables.size()));
-  return qtables[static_cast<size_t>(t)];
 }
 
 const IvfIndex& ServingSnapshot::ann_index(int64_t t) const {
@@ -394,30 +73,6 @@ const std::vector<float>& ItemTableCache::table_data(int64_t t) const {
   return *table(t).impl()->data;
 }
 
-void ItemTableCache::EnableQuantization(bool enabled) {
-  // Steady-state no-op without the lock: serving threads re-assert the
-  // sticky enable on every batch, so the common path must be one acquire
-  // load and no writes. Real transitions happen under enable_mu_.
-  if (enabled == quantize_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(enable_mu_);
-  if (enabled == quantize_.load(std::memory_order_relaxed)) return;
-  // Enabling: build the quantized form on the next snapshot. Disabling
-  // just stops serving it (the current snapshot is immutable; its int8
-  // tables ride along unused until the next publish drops them).
-  if (enabled) valid_.store(false, std::memory_order_release);
-  quantize_.store(enabled, std::memory_order_release);
-}
-
-const QuantizedTable& ItemTableCache::quantized(int64_t t) const {
-  PMM_CHECK_MSG(quantization_enabled(),
-                "quantization not enabled on this cache");
-  PMM_CHECK_MSG(valid(),
-                "stale quantized table: rebuild via Ensure() before scoring");
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  PMM_CHECK(current_ != nullptr);
-  return current_->quantized_table(t);
-}
-
 void ItemTableCache::EnableAnn(const IvfConfig& config) {
   // Invalidate when the index would differ from what a build under
   // `config` produces: first enable, or any parameter change. Re-enabling
@@ -436,29 +91,16 @@ void ItemTableCache::EnableAnn(const IvfConfig& config) {
   ann_enabled_.store(true, std::memory_order_release);
 }
 
-void ItemTableCache::DisableAnn() {
-  std::lock_guard<std::mutex> lock(enable_mu_);
-  ann_enabled_.store(false, std::memory_order_release);
-}
-
 void ItemTableCache::SetExactScanTable(int64_t table) {
   PMM_CHECK_GE(table, -1);
-  // Steady-state no-op without the lock, as in EnableQuantization: the
-  // model re-asserts its route on every serve entry point.
+  // Steady-state no-op without the lock: the model re-asserts its route
+  // on every serve entry point, so the common path must be one acquire
+  // load and no writes. Real transitions happen under enable_mu_.
   if (table == exact_scan_table_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(enable_mu_);
   if (table == exact_scan_table_.load(std::memory_order_relaxed)) return;
   if (table >= 0) valid_.store(false, std::memory_order_release);
   exact_scan_table_.store(table, std::memory_order_release);
-}
-
-const IvfIndex& ItemTableCache::ann(int64_t t) const {
-  PMM_CHECK_MSG(ann_enabled(), "ANN not enabled on this cache");
-  PMM_CHECK_MSG(valid(),
-                "stale ANN index: rebuild via Ensure() before retrieval");
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  PMM_CHECK(current_ != nullptr);
-  return current_->ann_index(t);
 }
 
 bool ItemTableCache::Ensure(int64_t num_items,
@@ -523,13 +165,11 @@ std::shared_ptr<ServingSnapshot> ItemTableCache::BuildSnapshot(
   // silently current; live mode pins it regardless.
   const uint64_t version = ParamUpdateVersion();
 
-  bool quantize = false;
   bool ann = false;
   IvfConfig ann_config;
   int64_t exact_scan_table = -1;
   {
     std::lock_guard<std::mutex> lock(enable_mu_);
-    quantize = quantize_.load(std::memory_order_relaxed);
     ann = ann_enabled_.load(std::memory_order_relaxed);
     ann_config = ann_config_;
     exact_scan_table = exact_scan_table_.load(std::memory_order_relaxed);
@@ -538,7 +178,6 @@ std::shared_ptr<ServingSnapshot> ItemTableCache::BuildSnapshot(
   auto snap = std::make_shared<ServingSnapshot>();
   snap->built_param_version = version;
   snap->num_items = num_items;
-  snap->quantized = quantize;
   snap->ann = ann;
   snap->ann_config = ann_config;
 
@@ -641,34 +280,15 @@ std::shared_ptr<ServingSnapshot> ItemTableCache::BuildSnapshot(
     PMM_TRACE_COUNT("serve.snapshot.packed_bytes", snap->exact_scan.bytes());
   }
 
-  // Quantized forms are part of the same snapshot: a fresh fp32 table
-  // never coexists with a stale quantized one. (Rows quantize
-  // independently, so re-quantizing after a hot-add reproduces the old
-  // rows' codes bitwise.)
-  if (quantize) {
-    snap->qtables.resize(static_cast<size_t>(n_tables));
-    for (int64_t t = 0; t < n_tables; ++t) {
-      QuantizeTableRows(tables[static_cast<size_t>(t)].data(), num_items,
-                        tables[static_cast<size_t>(t)].dim(1),
-                        &snap->qtables[static_cast<size_t>(t)]);
-      // Stamp the conservative pre-encode version (matches the fp32
-      // staleness rule above).
-      snap->qtables[static_cast<size_t>(t)].built_param_version = version;
-    }
-    PMM_TRACE_COUNT("quant.table.builds", 1);
-  }
-
-  // The IVF indexes likewise: retrain the coarse quantizer and refill the
-  // inverted lists from the fresh tables, gathering the just-built int8
-  // rows when quantization is also on.
+  // The IVF indexes are part of the same snapshot: retrain the coarse
+  // quantizer and refill the inverted lists from the fresh tables, so a
+  // fresh fp32 table never coexists with stale lists.
   if (ann) {
     snap->ann_indexes.resize(static_cast<size_t>(n_tables));
     for (int64_t t = 0; t < n_tables; ++t) {
       auto index = std::make_unique<IvfIndex>();
       index->Build(tables[static_cast<size_t>(t)].data(), num_items,
-                   tables[static_cast<size_t>(t)].dim(1),
-                   quantize ? &snap->qtables[static_cast<size_t>(t)] : nullptr,
-                   ann_config);
+                   tables[static_cast<size_t>(t)].dim(1), ann_config);
       index->set_built_param_version(version);
       snap->ann_indexes[static_cast<size_t>(t)] = std::move(index);
     }

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -16,127 +14,7 @@
 
 namespace pmmrec {
 
-namespace detail {
-
-// (score, id) packed as one order key: descending uint64 order is exactly
-// the canonical (score desc, id asc) total order RanksBefore defines.
-// High 32 bits: the float's bits mapped through the standard
-// order-preserving transform (negatives complemented, positives get the
-// sign bit set), with -0 normalized to +0 first so float-equal scores get
-// bit-equal key prefixes. Low 32 bits: ~id, so equal scores rank smaller
-// ids first under a DESCENDING key sort. Finite scores only. Shared by
-// the quantized candidate pass (serving.cc) and the IVF probe (ivf.cc).
-inline uint64_t OrderKey(float score, int32_t id) {
-  uint32_t u;
-  std::memcpy(&u, &score, sizeof(u));
-  if ((u & 0x7FFFFFFFu) == 0u) u = 0u;
-  u = (u & 0x80000000u) ? ~u : (u | 0x80000000u);
-  return (static_cast<uint64_t>(u) << 32) |
-         static_cast<uint32_t>(~static_cast<uint32_t>(id));
-}
-
-inline int32_t OrderKeyId(uint64_t key) {
-  return static_cast<int32_t>(~static_cast<uint32_t>(key));
-}
-
-// Descending order-key sort of (key, payload) pairs; above a small size an
-// LSD radix sort replaces the comparator sort (~5x at serving window
-// sizes). Keys are unique (they embed ~id), so the two strategies are
-// interchangeable bit-for-bit. `scratch` is caller-owned reusable storage.
-void SortPairsByKeyDescending(
-    std::vector<std::pair<uint64_t, uint32_t>>* v,
-    std::vector<std::pair<uint64_t, uint32_t>>* scratch);
-
-}  // namespace detail
-
-// --- Quantized serving (DESIGN.md "Quantized serving") ----------------------
-//
-// Per-row affine int8 form of a cached fp32 table. Each row r stores codes
-// q[r*width .. r*width+width) with x ~= scales[r] * (q - zero_points[r]).
-// The quantized form exists only to *rank candidates*; served scores are
-// always re-computed exactly in fp32 over the candidate window, so the
-// quantization error never reaches a response.
-struct QuantizedTable {
-  int64_t num_rows = 0;
-  int64_t width = 0;
-  std::vector<int8_t> q;           // [num_rows * width], row-major codes
-  std::vector<float> scales;       // [num_rows]
-  std::vector<int8_t> zero_points; // [num_rows]
-  std::vector<int32_t> row_sums;   // [num_rows] sum of row codes
-  // ParamUpdateVersion() (nn/optimizer.h) recorded at build time; scoring
-  // against a stale table is a checked error — unless the table is
-  // `pinned` into a live ServingSnapshot, whose consistency is carried by
-  // the snapshot version instead of the global counter (a live trainer
-  // legitimately advances ParamUpdateVersion while vN keeps serving).
-  uint64_t built_param_version = 0;
-  bool pinned = false;
-
-  // Total payload (codes + per-row parameters); the compression headline.
-  size_t bytes() const {
-    return q.size() * sizeof(int8_t) + scales.size() * sizeof(float) +
-           zero_points.size() * sizeof(int8_t) +
-           row_sums.size() * sizeof(int32_t);
-  }
-};
-
-// Quantizes `rows` ([num_rows, width], row-major fp32) into per-row affine
-// int8. Per row: the value range is extended to include 0 (so the zero
-// point always fits int8 and a zero row round-trips exactly), the scale is
-// (max-min)/255 computed in double and floored at FLT_MIN (degenerate and
-// subnormal rows stay finite), and every element satisfies
-// |x - scale*(q - zp)| <= scale/2. Non-finite inputs are a checked error:
-// NaN/Inf must be rejected at quantization time, never served. Rows are
-// quantized independently (fixed-chunk ParallelFor), so the result is
-// bit-identical for every thread count.
-void QuantizeTableRows(const float* rows, int64_t num_rows, int64_t width,
-                       QuantizedTable* out);
-
-// Symmetric (zero-point-free) per-row int8 quantization of fp32 query
-// rows: scales[r] = max|x|/127 (floored at FLT_MIN), codes in [-127, 127],
-// sums[r] = sum of row codes (for the item-side zero-point correction).
-void QuantizeQueryRows(const float* queries, int64_t num_queries,
-                       int64_t width, int8_t* q, float* scales,
-                       int32_t* sums);
-
-// Two-stage candidate/re-rank scorer. For each query row (fp32,
-// [num_queries, qt.width]):
-//  1. candidate pass: int8 QGemmNT of the quantized query against every
-//     row of `qt`, approximate scores
-//       su * scale_i * (dot - zp_i * qsum_u),
-//     top `window` selected under the canonical (score desc, id asc) rule;
-//  2. re-rank: the candidates' fp32 rows (from `fp32_rows`, the exact
-//     table `qt` was built from) are gathered and re-scored with
-//     gemm::GemmNT. The GEMM determinism contract makes each re-ranked
-//     score bitwise equal to the full-table fp32 GEMM's element, so the
-//     returned ordering agrees exactly with the fp32 path whenever the
-//     true top results lie inside the window.
-// Returns, per query, the `window` candidates with exact fp32 scores in
-// presentation order. Checked errors: stale `qt`, window outside
-// [1, qt.num_rows], non-finite queries.
-std::vector<std::vector<ScoredId>> QuantCandidateTopK(
-    const QuantizedTable& qt, const float* fp32_rows, const float* queries,
-    int64_t num_queries, int64_t window);
-
-// Auto candidate window: large enough that the exact top-K (plus any
-// excluded history) virtually always survives the candidate stage, small
-// enough that the fp32 re-rank stays O(window) per user.
-inline constexpr int64_t kDefaultRerankWindow = 4096;
-
-// Resolves a configured window: 0 means auto (min(kDefaultRerankWindow,
-// num_items)); explicit values must lie in [1, num_items] (checked).
-int64_t EffectiveRerankWindow(int64_t configured, int64_t num_items);
-
-// True when PMMREC_QUANT is set to a non-empty value other than "0" —
-// the env-var side of the quantized-serving gate (config fields are the
-// other side; fp32 stays the default).
-bool QuantServingEnvEnabled();
-
 // --- ANN candidate retrieval (DESIGN.md "Candidate retrieval") --------------
-
-// True when PMMREC_ANN is set to a non-empty value other than "0" — the
-// env-var side of the ANN serving gate (config.ann_serving is the other
-// side; the exact full scan stays the default).
-bool AnnServingEnvEnabled();
 
 // Coarse-quantizer parameters of the IVF index (core/ivf.h). All-zero
 // defaults mean "auto": nlist ~= sqrt(n_rows), nprobe = max(1, nlist/32),
@@ -161,13 +39,12 @@ class Rng;           // utils/rng.h (ctor dependency of the encoder clone).
 // --- Versioned serving snapshots (DESIGN.md "Versioned serving snapshots") --
 //
 // One immutable bundle of everything a worker needs to answer a request:
-// the fp32 item table(s), their int8 forms, the IVF indexes, and — for
-// live-published snapshots — a frozen clone of the user encoder. Workers
-// pin the current snapshot with a
-// shared_ptr copy and answer the whole batch from it; a builder assembles
-// vN+1 off the hot path and publishes it with one pointer swap. A retired
-// snapshot is freed when its last in-flight pin drops (shared_ptr
-// refcount IS the RCU grace period).
+// the fp32 item table(s), the IVF indexes, and — for live-published
+// snapshots — a frozen clone of the user encoder. Workers pin the current
+// snapshot with a shared_ptr copy and answer the whole batch from it; a
+// builder assembles vN+1 off the hot path and publishes it with one
+// pointer swap. A retired snapshot is freed when its last in-flight pin
+// drops (shared_ptr refcount IS the RCU grace period).
 //
 // Two flavours, distinguished by `user_encoder`:
 //  - strict (user_encoder == nullptr): the snapshot freezes tables only;
@@ -178,9 +55,8 @@ class Rng;           // utils/rng.h (ctor dependency of the encoder clone).
 //  - live (user_encoder != nullptr): the snapshot also owns a deep-copied
 //    eval-mode encoder, so a request admitted under vN is answered
 //    entirely from vN even while a trainer thread keeps stepping the live
-//    parameters. Quant tables are `pinned` and IVF version checks are off
-//    — consistency is the snapshot's immutability, not the global
-//    counter.
+//    parameters. IVF version checks are off — consistency is the
+//    snapshot's immutability, not the global counter.
 struct ServingSnapshot {
   ServingSnapshot();
   ~ServingSnapshot();  // Out-of-line: IvfIndex/UserEncoder are
@@ -197,16 +73,14 @@ struct ServingSnapshot {
   int64_t num_items = 0;
 
   std::vector<Tensor> tables;
-  std::vector<QuantizedTable> qtables;              // empty unless quantized
   std::vector<std::unique_ptr<IvfIndex>> ann_indexes;  // empty unless ann
-  bool quantized = false;
   bool ann = false;
   IvfConfig ann_config;
 
   // Packed copy (gemm::PackNT) of the table the owning model's exact
   // route scans, so that scan never re-packs per batch. Built only for a
-  // model serving that route (ItemTableCache::SetExactScanTable); IVF and
-  // int8 snapshots and the baselines' tables carry none. -1: no copy.
+  // model serving that route (ItemTableCache::SetExactScanTable); IVF
+  // snapshots and the baselines' tables carry none. -1: no copy.
   int64_t exact_scan_table = -1;
   gemm::PackedNT exact_scan;
 
@@ -218,7 +92,6 @@ struct ServingSnapshot {
   const Tensor& table(int64_t t) const { return tables[static_cast<size_t>(t)]; }
   const std::vector<float>& table_data(int64_t t) const;
   int64_t width(int64_t t) const { return table(t).dim(1); }
-  const QuantizedTable& quantized_table(int64_t t) const;
   const IvfIndex& ann_index(int64_t t) const;
   // The packed copy of table t, or null when the snapshot has none.
   const gemm::PackedNT* packed_table(int64_t t) const {
@@ -256,7 +129,7 @@ struct ServingSnapshot {
 //
 // Concurrency protocol (satellite: the sticky flags and validity bits are
 // atomics so the pre-snapshot fast paths have no benign-race reads):
-//  - valid_/quantize_/ann_enabled_/exact_scan_table_/num_items_/
+//  - valid_/ann_enabled_/exact_scan_table_/num_items_/
 //    built_param_version_ are std::atomic. Writers publish with release
 //    stores *after* the snapshot pointer swap; readers use acquire loads,
 //    so a thread that observes valid_ == true also observes the snapshot
@@ -272,7 +145,7 @@ struct ServingSnapshot {
 //    itself). In strict mode a worker that finds the cache stale blocks
 //    here — that IS the stall-on-rebuild baseline; live mode publishes
 //    from a dedicated thread so workers only ever pin.
-//  - enable_mu_ guards the quant/ann/exact-scan enable transitions and
+//  - enable_mu_ guards the ann/exact-scan enable transitions and
 //    ann_config_.
 class ItemTableCache {
  public:
@@ -290,7 +163,7 @@ class ItemTableCache {
       std::function<std::vector<Tensor>(const std::vector<int32_t>&)>;
 
   // Attaches live-mode extras to a freshly built snapshot before it is
-  // published (encoder clone, pinned quant tables).
+  // published (encoder clone, IVF version checks off).
   using SnapshotFinisher = std::function<void(ServingSnapshot*)>;
 
   // Rebuilds (and publishes) a strict snapshot when stale; returns true
@@ -301,7 +174,7 @@ class ItemTableCache {
 
   // Live-mode publish: always builds a fresh snapshot (reusing the current
   // one's rows when this is a pure hot-add at the same param version),
-  // runs `finish` on it (attach encoder clone / pin quant tables),
+  // runs `finish` on it (attach encoder clone, IVF version checks off),
   // then swaps it in. Returns the published snapshot.
   std::shared_ptr<const ServingSnapshot> Publish(
       int64_t num_items, const ChunkEncoder& encode_chunk,
@@ -331,37 +204,16 @@ class ItemTableCache {
   // Lifetime rebuild count (tests, telemetry).
   uint64_t rebuilds() const { return rebuilds_.load(std::memory_order_relaxed); }
 
-  // --- Quantized tables -----------------------------------------------------
-  // When enabled, every build additionally produces a QuantizedTable per
-  // fp32 table inside the same snapshot (so a fresh fp32 table never
-  // coexists with a stale quantized one). Enabling on a valid cache
-  // invalidates it so the quantized form appears on the next build;
-  // disabling just stops serving it.
-  void EnableQuantization(bool enabled);
-  bool quantization_enabled() const {
-    return quantize_.load(std::memory_order_acquire);
-  }
-  // Quantized form of table t in the current snapshot. Checked errors:
-  // quantization not enabled, or the snapshot is stale.
-  const QuantizedTable& quantized(int64_t t) const;
-
   // --- ANN index ------------------------------------------------------------
   // When enabled, every build additionally trains/refills an IVF index
   // per fp32 table inside the same snapshot, so fresh fp32 tables never
-  // coexist with stale inverted lists. When quantization is also enabled,
-  // each index gathers the int8 rows into its lists (the IVF+int8
-  // combined mode). Enabling on a valid cache (or changing the config)
-  // invalidates it so the index appears on the next build; disabling just
-  // stops serving it.
+  // coexist with stale inverted lists. Enabling on a valid cache (or
+  // changing the config) invalidates it so the index appears on the next
+  // build. The enable is sticky: nothing turns the index off again.
   void EnableAnn(const IvfConfig& config);
-  void DisableAnn();
   bool ann_enabled() const {
     return ann_enabled_.load(std::memory_order_acquire);
   }
-  const IvfConfig& ann_config() const { return ann_config_; }
-  // IVF index over table t in the current snapshot. Checked errors: ANN
-  // not enabled, or the snapshot is stale.
-  const IvfIndex& ann(int64_t t) const;
 
   // --- Packed exact-scan table ----------------------------------------------
   // The owning model names the table its exact route scans (-1: none);
@@ -388,7 +240,6 @@ class ItemTableCache {
   // Guards enable-flag transitions and ann_config_.
   std::mutex enable_mu_;
 
-  std::atomic<bool> quantize_{false};
   std::atomic<bool> ann_enabled_{false};
   IvfConfig ann_config_;  // written under enable_mu_ only
   std::atomic<int64_t> exact_scan_table_{-1};

@@ -148,7 +148,7 @@ void CopyFlatToParams(const float* in, const std::vector<Tensor*>& params);
 // Owns an AdamW optimizer and a shuffled batch stream over the dataset;
 // each Step() applies one optimizer update to the live model, then
 // publishes a fresh self-contained ServingSnapshot (frozen encoder clone,
-// int8/IVF structures as enabled). A RequestBroker in
+// IVF index when enabled). A RequestBroker in
 // live_updates mode picks the new version up on its next pin with no
 // stall and no lock shared with the training thread — in-flight batches
 // finish on the version they pinned.

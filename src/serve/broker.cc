@@ -172,7 +172,7 @@ std::shared_ptr<const ServingSnapshot> RequestBroker::PinSnapshot(
   // cache's build mutex; whichever wins rebuilds, the rest re-check and
   // fall through, so a single invalidation costs exactly one rebuild —
   // and the rebuild covers the fp32 table plus whatever rides along
-  // (int8 tables, IVF lists), so no route can see a stale structure.
+  // (the IVF lists), so no route can see a stale structure.
   bool rebuilt = false;
   std::shared_ptr<const ServingSnapshot> snap =
       domain.model->PinForServing(&rebuilt);
@@ -181,17 +181,6 @@ std::shared_ptr<const ServingSnapshot> RequestBroker::PinSnapshot(
     PMM_TRACE_COUNT("serve.cache_rebuilds", 1);
   }
   return snap;
-}
-
-std::vector<std::vector<ScoredId>> RequestBroker::ScoreBatchCandidates(
-    Domain& domain, const std::shared_ptr<const ServingSnapshot>& snap,
-    const std::vector<std::vector<int32_t>>& prefixes, int64_t limit) {
-  if (domain.model->QuantServingEnabled()) {
-    // Quantized two-stage pass at its auto window (itself IVF-routed when
-    // ANN is also on — the combined mode).
-    return domain.model->ScoreUsersCandidatesOn(snap, prefixes);
-  }
-  return domain.model->RetrieveCandidatesOn(snap, prefixes, limit);
 }
 
 void RequestBroker::ProcessBatch(std::vector<Pending> batch) {
@@ -314,11 +303,7 @@ void RequestBroker::ProcessDomainBatch(Domain& domain,
   std::vector<std::vector<ScoredId>> candidates;
   {
     PMM_TRACE_SCOPE_AT("serve.batch", kEpoch, "serve.batch.ns");
-    candidates = ScoreBatchCandidates(domain, snap, prefixes, limit);
-  }
-  if (domain.model->QuantServingEnabled()) {
-    stats_.quant_batches.fetch_add(1, std::memory_order_relaxed);
-    PMM_TRACE_COUNT("serve.quant_batches", 1);
+    candidates = domain.model->RetrieveCandidatesOn(snap, prefixes, limit);
   }
   if (domain.model->AnnServingEnabled()) {
     stats_.ann_batches.fetch_add(1, std::memory_order_relaxed);
@@ -466,7 +451,6 @@ BrokerStats RequestBroker::stats() const {
   out.max_batch = stats_.max_batch.load(std::memory_order_relaxed);
   out.merged_requests =
       stats_.merged_requests.load(std::memory_order_relaxed);
-  out.quant_batches = stats_.quant_batches.load(std::memory_order_relaxed);
   out.ann_batches = stats_.ann_batches.load(std::memory_order_relaxed);
   out.snapshot_rebuilds =
       stats_.snapshot_rebuilds.load(std::memory_order_relaxed);

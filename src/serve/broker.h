@@ -28,16 +28,16 @@ namespace serve {
 // queue under a coalescing policy (wait up to `max_wait_us` for up to
 // `max_batch` requests), retrieve ranked candidates for the whole batch
 // through the model's active CandidateSource (core/ivf.h: the exact full
-// scan by default, the IVF index under PMMREC_ANN, the quantized
-// two-stage pass under PMMREC_QUANT) — collapsing identical prefixes onto
-// one shared candidate list first — and answer each request with its
+// scan by default, the IVF index when config.ann_serving is set) —
+// collapsing identical prefixes onto one shared candidate list first —
+// and answer each request with its
 // partial top-K (utils/topk.h): K ids and scores, never the full
 // catalogue row.
 //
 // Snapshot protocol: every batch pins one immutable ServingSnapshot per
 // domain (ItemTableCache::Pin) and answers entirely from it — tables,
-// quantized tables, IVF lists, and (in live mode) the frozen encoder all
-// travel inside the snapshot, so a request admitted under
+// IVF lists, and (in live mode) the frozen encoder all travel inside the
+// snapshot, so a request admitted under
 // version N is answered from version N even if N+1 publishes mid-batch.
 // In the default strict mode a stale snapshot (a parameter update landed
 // between batches) is rebuilt on first pin; racing workers serialize on
@@ -158,7 +158,6 @@ struct BrokerStats {
   uint64_t batched_requests = 0;     // Live requests across all batches.
   uint64_t max_batch = 0;            // Largest batch actually scored.
   uint64_t merged_requests = 0;      // Duplicates collapsed onto a shared row.
-  uint64_t quant_batches = 0;        // Batches scored via the quantized path.
   uint64_t ann_batches = 0;          // Batches retrieved via the IVF index.
   uint64_t snapshot_rebuilds = 0;    // Strict-mode stale-pin rebuilds.
 };
@@ -242,15 +241,6 @@ class RequestBroker {
                           std::vector<Pending>* live,
                           std::vector<std::vector<int32_t>>* prefixes,
                           std::vector<int64_t>* row_of, uint64_t dequeue_ns);
-  // Retrieves each row's ranked candidates from the pinned snapshot.
-  // Routes by the model's serving mode — quantized two-stage pass (auto
-  // window, itself IVF-routed when ANN is also on), else the snapshot's
-  // CandidateSource (exact full scan or IVF index) bounded by `limit`.
-  // On the default exact route, limit >= topk + |exclude| makes the final
-  // TopKFromRanked bitwise TopKSelect over the full score row.
-  std::vector<std::vector<ScoredId>> ScoreBatchCandidates(
-      Domain& domain, const std::shared_ptr<const ServingSnapshot>& snap,
-      const std::vector<std::vector<int32_t>>& prefixes, int64_t limit);
 
   const BrokerOptions options_;
   std::vector<Domain> domains_;
@@ -274,7 +264,6 @@ class RequestBroker {
     std::atomic<uint64_t> batched_requests{0};
     std::atomic<uint64_t> max_batch{0};
     std::atomic<uint64_t> merged_requests{0};
-    std::atomic<uint64_t> quant_batches{0};
     std::atomic<uint64_t> ann_batches{0};
     std::atomic<uint64_t> snapshot_rebuilds{0};
   };

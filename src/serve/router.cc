@@ -237,10 +237,7 @@ ShardRouter::ShardRouter(PMMRecModel* model, const RouterOptions& options)
 
   if (options_.mode == ShardMode::kIvfShard) {
     PMM_CHECK_MSG(model_->AnnServingEnabled(),
-                  "IVF-shard mode requires ANN serving (PMMREC_ANN=1)");
-    PMM_CHECK_MSG(!model_->QuantServingEnabled(),
-                  "IVF-shard mode requires the fp32 IVF path: a quantized "
-                  "re-rank window is shard-dependent and would diverge");
+                  "IVF-shard mode requires ANN serving (config.ann_serving)");
     // Build the snapshot (tables + IVF index) once, pre-fork: every worker
     // pins the same pages copy-on-write instead of building its own.
     const auto snap = model_->PublishServingSnapshot();

@@ -43,7 +43,7 @@ namespace serve {
 //    every shard and the shards partition [0, nlist), the merged
 //    candidate multiset equals the single-process IVF retrieval at equal
 //    nprobe — responses are bitwise identical to the one-process broker's
-//    ANN path. Requires ANN serving on and quantized serving off.
+//    ANN path. Requires ANN serving on.
 //
 // Determinism and failure semantics: the wire carries absolute deadlines
 // on the shared trace::NowNs() clock (anchored before the fork); a worker
@@ -86,10 +86,9 @@ struct RouterOptions {
 class ShardRouter {
  public:
   // Forks the workers. The model must have a dataset attached. In
-  // kIvfShard mode the model must have AnnServingEnabled() and not
-  // QuantServingEnabled(); the parent publishes a snapshot before forking
-  // so all workers share its pages copy-on-write. The router does not own
-  // the model.
+  // kIvfShard mode the model must have AnnServingEnabled(); the parent
+  // publishes a snapshot before forking so all workers share its pages
+  // copy-on-write. The router does not own the model.
   ShardRouter(PMMRecModel* model, const RouterOptions& options);
   ~ShardRouter();  // Implies Shutdown().
 

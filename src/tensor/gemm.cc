@@ -6,10 +6,6 @@
 #include <cstring>
 #include <vector>
 
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
-
 #include "utils/check.h"
 #include "utils/trace.h"
 
@@ -704,302 +700,6 @@ void ReferenceGemmTN(const float* a, const float* b, float* c, int64_t m,
       for (int64_t j = 0; j < n; ++j) ci[j] += av * br[j];
     }
   }
-}
-
-// --- Int8 kernels ----------------------------------------------------------
-// All paths accumulate exact int32 dots; integer associativity means any
-// lane layout and summation order gives the same bits, so the dispatch
-// below needs no chain discipline — only the overflow bound (kQMaxK).
-
-void ReferenceQGemmNT(const int8_t* a, const int8_t* b, int32_t* c,
-                      int64_t m, int64_t k, int64_t n, int64_t lda,
-                      int64_t ldb, int64_t ldc) {
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* ai = a + i * lda;
-    int32_t* ci = c + i * ldc;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* bj = b + j * ldb;
-      int32_t dot = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        dot += static_cast<int32_t>(ai[p]) * static_cast<int32_t>(bj[p]);
-      }
-      ci[j] += dot;
-    }
-  }
-}
-
-namespace {
-
-#if PMMREC_GEMM_VEC
-// Portable vector path (SSE2 baseline): 16 int8 lanes widened to int32
-// and multiply-accumulated in 16 int32 lanes, reduced after the k loop.
-typedef int8_t v16qi __attribute__((vector_size(16)));
-typedef int32_t v16si __attribute__((vector_size(64)));
-
-inline v16qi LoadQ(const int8_t* p) {
-  v16qi v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void QGemmNTVec(const int8_t* a, const int8_t* b, int32_t* c, int64_t m,
-                int64_t k, int64_t n, int64_t lda, int64_t ldb, int64_t ldc) {
-  const int64_t k16 = k - (k % 16);
-  for (int64_t j = 0; j < n; ++j) {
-    const int8_t* bj = b + j * ldb;
-    for (int64_t i = 0; i < m; ++i) {
-      const int8_t* ai = a + i * lda;
-      v16si acc{};
-      for (int64_t p = 0; p < k16; p += 16) {
-        const v16si av = __builtin_convertvector(LoadQ(ai + p), v16si);
-        const v16si bv = __builtin_convertvector(LoadQ(bj + p), v16si);
-        acc += av * bv;
-      }
-      int32_t dot = 0;
-      for (int64_t l = 0; l < 16; ++l) dot += acc[l];
-      for (int64_t p = k16; p < k; ++p) {
-        dot += static_cast<int32_t>(ai[p]) * static_cast<int32_t>(bj[p]);
-      }
-      c[i * ldc + j] += dot;
-    }
-  }
-}
-#endif  // PMMREC_GEMM_VEC
-
-#if PMMREC_GEMM_AVX2_DISPATCH
-// AVX2 path: A is pre-widened once to int16 scratch (it is the small
-// operand — a handful of query rows), then each catalogue row of B is
-// streamed exactly once; vpmaddwd does 16 widening multiply-adds per
-// instruction. int16 products of int8 inputs are at most 2^14, so the
-// pairwise int32 sums madd produces are exact — no saturation path.
-__attribute__((target("avx2"))) inline int32_t HsumEpi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
-
-// Reduces four 8-lane accumulators to their four lane sums in one shot:
-// two hadd levels leave [sum(a) sum(b) sum(c) sum(d)] duplicated across
-// the 128-bit halves, one cross-half add collapses them. ~7 ops for four
-// dots where per-dot HsumEpi32 costs ~7 ops for one — the horizontal
-// reduction is what dominates this kernel at small k, so this matters.
-__attribute__((target("avx2"))) inline __m128i Hsum4Epi32(__m256i a,
-                                                          __m256i b,
-                                                          __m256i c,
-                                                          __m256i d) {
-  const __m256i ab = _mm256_hadd_epi32(a, b);
-  const __m256i cd = _mm256_hadd_epi32(c, d);
-  const __m256i abcd = _mm256_hadd_epi32(ab, cd);
-  return _mm_add_epi32(_mm256_castsi256_si128(abcd),
-                       _mm256_extracti128_si256(abcd, 1));
-}
-
-thread_local std::vector<int16_t> t_qa16;
-
-__attribute__((target("avx2"))) void QGemmNTAvx2(
-    const int8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t k,
-    int64_t n, int64_t lda, int64_t ldb, int64_t ldc) {
-  std::vector<int16_t>& a16 = t_qa16;
-  if (static_cast<int64_t>(a16.size()) < m * k) {
-    a16.resize(static_cast<size_t>(m * k));
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* ai = a + i * lda;
-    int16_t* dst = a16.data() + i * k;
-    for (int64_t p = 0; p < k; ++p) dst[p] = static_cast<int16_t>(ai[p]);
-  }
-
-  const int64_t k16 = k - (k % 16);
-
-  // Small-k fast path (k = 16 or 32 — the serving item-table widths):
-  // four catalogue rows of B are widened to int16 registers once and
-  // reused for every query row, each (query, 4 items) block reduces with
-  // one Hsum4Epi32, and the four dots land in C with a single vector
-  // update. This keeps the reduction + store overhead per dot ~6x lower
-  // than the generic path, which is the difference between the int8 scan
-  // losing and winning against the fp32 GEMM at d=32.
-  if (k == k16 && k <= 32) {
-    const bool two = (k == 32);
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256i bv0[4], bv1[4];
-      for (int64_t q = 0; q < 4; ++q) {
-        const int8_t* bq = b + (j + q) * ldb;
-        bv0[q] = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bq)));
-        bv1[q] = two ? _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                           reinterpret_cast<const __m128i*>(bq + 16)))
-                     : _mm256_setzero_si256();
-      }
-      for (int64_t i = 0; i < m; ++i) {
-        const int16_t* ap = a16.data() + i * k;
-        const __m256i av0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap));
-        const __m256i av1 =
-            two ? _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i*>(ap + 16))
-                : _mm256_setzero_si256();
-        __m256i acc[4];
-        for (int64_t q = 0; q < 4; ++q) {
-          acc[q] = _mm256_madd_epi16(av0, bv0[q]);
-          if (two) {
-            acc[q] = _mm256_add_epi32(acc[q],
-                                      _mm256_madd_epi16(av1, bv1[q]));
-          }
-        }
-        int32_t* cp = c + i * ldc + j;
-        const __m128i d4 = Hsum4Epi32(acc[0], acc[1], acc[2], acc[3]);
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i*>(cp),
-            _mm_add_epi32(
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(cp)), d4));
-      }
-    }
-    for (; j < n; ++j) {
-      const int8_t* bj = b + j * ldb;
-      const __m256i bv0 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj)));
-      const __m256i bv1 =
-          two ? _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(bj + 16)))
-              : _mm256_setzero_si256();
-      for (int64_t i = 0; i < m; ++i) {
-        const int16_t* ap = a16.data() + i * k;
-        __m256i acc = _mm256_madd_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap)), bv0);
-        if (two) {
-          acc = _mm256_add_epi32(
-              acc, _mm256_madd_epi16(
-                       _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i*>(ap + 16)),
-                       bv1));
-        }
-        c[i * ldc + j] += HsumEpi32(acc);
-      }
-    }
-    return;
-  }
-
-  for (int64_t j = 0; j < n; ++j) {
-    const int8_t* bj = b + j * ldb;
-    int64_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      for (int64_t p = 0; p < k16; p += 16) {
-        const __m256i bv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj + p)));
-        const int16_t* ap = a16.data() + i * k + p;
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(ap)),
-                      bv));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(ap + k)),
-                      bv));
-        acc2 = _mm256_add_epi32(
-            acc2, _mm256_madd_epi16(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(ap + 2 * k)),
-                      bv));
-        acc3 = _mm256_add_epi32(
-            acc3, _mm256_madd_epi16(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(ap + 3 * k)),
-                      bv));
-      }
-      alignas(16) int32_t dot[4];
-      _mm_store_si128(reinterpret_cast<__m128i*>(dot),
-                      Hsum4Epi32(acc0, acc1, acc2, acc3));
-      for (int64_t r = 0; r < 4; ++r) {
-        const int8_t* ar = a + (i + r) * lda;
-        for (int64_t p = k16; p < k; ++p) {
-          dot[r] += static_cast<int32_t>(ar[p]) * static_cast<int32_t>(bj[p]);
-        }
-        c[(i + r) * ldc + j] += dot[r];
-      }
-    }
-    for (; i < m; ++i) {
-      __m256i acc = _mm256_setzero_si256();
-      const int16_t* ap16 = a16.data() + i * k;
-      for (int64_t p = 0; p < k16; p += 16) {
-        const __m256i bv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj + p)));
-        acc = _mm256_add_epi32(
-            acc, _mm256_madd_epi16(
-                     _mm256_loadu_si256(
-                         reinterpret_cast<const __m256i*>(ap16 + p)),
-                     bv));
-      }
-      int32_t dot = HsumEpi32(acc);
-      const int8_t* ai = a + i * lda;
-      for (int64_t p = k16; p < k; ++p) {
-        dot += static_cast<int32_t>(ai[p]) * static_cast<int32_t>(bj[p]);
-      }
-      c[i * ldc + j] += dot;
-    }
-  }
-}
-#endif  // PMMREC_GEMM_AVX2_DISPATCH
-
-using QGemmFn = void (*)(const int8_t*, const int8_t*, int32_t*, int64_t,
-                         int64_t, int64_t, int64_t, int64_t, int64_t);
-
-QGemmFn ResolveQGemm() {
-#if PMMREC_GEMM_AVX2_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return &QGemmNTAvx2;
-#endif
-#if PMMREC_GEMM_VEC
-  return &QGemmNTVec;
-#else
-  return &ReferenceQGemmNT;
-#endif
-}
-
-const QGemmFn g_qgemm = ResolveQGemm();
-
-const char* QDispatchName() {
-#if PMMREC_GEMM_AVX2_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return "gemm.dispatch.q8_avx2";
-#endif
-#if PMMREC_GEMM_VEC
-  return "gemm.dispatch.q8_vec";
-#else
-  return "gemm.dispatch.q8_scalar";
-#endif
-}
-
-}  // namespace
-
-void QGemmNT(const int8_t* a, const int8_t* b, int32_t* c, int64_t m,
-             int64_t k, int64_t n, int64_t lda, int64_t ldb, int64_t ldc) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  // The int32-accumulator overflow bound; see kQMaxK in the header.
-  PMM_CHECK_LE(k, kQMaxK);
-  const Kernel kernel = ActiveKernel();
-  if (trace::Enabled(trace::Level::kEpoch)) {
-    // Names vary by dispatch outcome, so look them up directly (the
-    // PMM_TRACE_COUNT macro caches one name per call site).
-    trace::Counter::Get("gemm.q8.calls").Add(1);
-    trace::Counter::Get("gemm.q8.macs")
-        .Add(static_cast<uint64_t>(m * k * n));
-    trace::Counter::Get(kernel == Kernel::kReference
-                            ? "gemm.dispatch.q8_reference"
-                            : QDispatchName())
-        .Add(1);
-  }
-  if (kernel == Kernel::kReference) {
-    ReferenceQGemmNT(a, b, c, m, k, n, lda, ldb, ldc);
-    return;
-  }
-  g_qgemm(a, b, c, m, k, n, lda, ldb, ldc);
 }
 
 }  // namespace gemm

@@ -107,29 +107,6 @@ void ReferenceGemmTN(const float* a, const float* b, float* c, int64_t m,
                      int64_t k, int64_t n, int64_t lda, int64_t ldb,
                      int64_t ldc);
 
-// --- Int8 quantized kernels ------------------------------------------------
-// int8 x int8 -> int32 dot-product GEMM backing the quantized-serving
-// candidate pass (core/serving.h; DESIGN.md "Quantized serving").
-//
-// C[m,n] += A[m,k] * B[n,k]^T with int32 accumulation. Same accumulate-
-// into-C, explicit-leading-dimension conventions as the float kernels.
-// Unlike those, no accumulation-chain discipline is needed: integer
-// addition is associative, so the scalar, SSE2/vector and AVX2 dispatch
-// paths are bit-identical by construction, for any summation order.
-//
-// The reduction length is bounded so the int32 accumulator cannot wrap:
-// each product is at most 2^14 in magnitude, and 2^14 * kQMaxK = 2^30
-// stays below INT32_MAX. QGemmNT checks k <= kQMaxK.
-inline constexpr int64_t kQMaxK = 1 << 16;
-
-void QGemmNT(const int8_t* a, const int8_t* b, int32_t* c, int64_t m,
-             int64_t k, int64_t n, int64_t lda, int64_t ldb, int64_t ldc);
-// Naive triple loop with the same signature; the equivalence baseline,
-// also what PMMREC_GEMM=reference routes QGemmNT through.
-void ReferenceQGemmNT(const int8_t* a, const int8_t* b, int32_t* c,
-                      int64_t m, int64_t k, int64_t n, int64_t lda,
-                      int64_t ldb, int64_t ldc);
-
 }  // namespace gemm
 }  // namespace pmmrec
 

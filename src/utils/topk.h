@@ -96,13 +96,13 @@ class TopKSelector {
 std::vector<ScoredId> TopKSelect(const float* scores, int64_t n, int64_t k,
                                  std::span<const int32_t> exclude = {});
 
-// Top-k of an already fully-ordered candidate list (the quantized path's
-// re-ranked window): walks `ranked` in order, skips ids in `exclude`, and
-// returns the first k survivors. Produces exactly TopKSelect's output
+// Top-k of an already fully-ordered candidate list (a CandidateSource's
+// output, core/ivf.h): walks `ranked` in order, skips ids in `exclude`,
+// and returns the first k survivors. Produces exactly TopKSelect's output
 // whenever the eligible top-k of the full row is contained in `ranked` —
-// the quantized-serving exactness contract (DESIGN.md "Quantized
-// serving"); fewer than k items are returned only when the window is
-// exhausted.
+// which the broker guarantees on the exact route by asking for at least
+// k + |exclude| candidates (DESIGN.md "Candidate retrieval"); fewer than
+// k items are returned only when `ranked` is exhausted.
 std::vector<ScoredId> TopKFromRanked(std::span<const ScoredId> ranked,
                                      int64_t k,
                                      std::span<const int32_t> exclude = {});

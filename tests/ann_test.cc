@@ -1,6 +1,6 @@
 // The CandidateSource retrieval layer (core/ivf.h). The claims:
 //
-//  1. With the default config (no ANN, no quant), every broker response
+//  1. With the default config (no ANN), every broker response
 //     is bitwise identical to the pre-candidate serial reference
 //     (ScoreItems + TopKSelect) for every tested worker x thread
 //     combination — the CandidateSource refactor moves no response bits
@@ -108,7 +108,6 @@ TEST_F(AnnServeTest, ExactBrokerBitwiseEqualAcrossWorkersAndThreads) {
   PMMRecModel model(config_, 42);
   model.AttachDataset(&ds_);
   ASSERT_FALSE(model.AnnServingEnabled());
-  ASSERT_FALSE(model.QuantServingEnabled());
 
   std::vector<std::vector<int32_t>> prefixes;
   for (int64_t u = 0; u < 16; ++u) {
@@ -289,7 +288,7 @@ TEST(IvfIndexTest, FullProbeBitwiseEqualsExactSource) {
   config.nlist = 20;
   config.nprobe = 20;
   IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  index.Build(t.rows.data(), t.n, t.d, config);
   EXPECT_EQ(index.nlist(), 20);
   EXPECT_EQ(index.nprobe(), 20);
   const std::vector<std::vector<ScoredId>> got =
@@ -304,7 +303,7 @@ TEST(IvfIndexTest, RetrieveDeterministicAcrossThreadCounts) {
   const SyntheticTable t = MakeClusteredTable(400, 8, 16, 33);
   IvfConfig config;
   IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  index.Build(t.rows.data(), t.n, t.d, config);
   std::vector<std::vector<std::vector<ScoredId>>> runs;
   for (const int64_t threads : {1, 4}) {
     NumThreadsGuard guard(threads);
@@ -333,7 +332,7 @@ TEST(IvfIndexTest, RecallMonotoneInNprobe) {
     config.nlist = nlist;
     config.nprobe = nprobe;
     IvfIndex index;
-    index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+    index.Build(t.rows.data(), t.n, t.d, config);
     const std::vector<std::vector<ScoredId>> got =
         IvfCandidateSource(&index).Retrieve(t.queries.data(), t.nq, kTopK);
     double recall = 0;
@@ -357,35 +356,6 @@ TEST(IvfIndexTest, RecallMonotoneInNprobe) {
     previous = recall;
   }
   EXPECT_EQ(previous, 1.0) << "full probe must recall everything";
-}
-
-// Quantized lists: approximation may narrow WHICH items return, but every
-// returned score is the exact fp32 score of its item.
-TEST(IvfIndexTest, QuantizedListsReturnExactScores) {
-  const SyntheticTable t = MakeClusteredTable(500, 16, 16, 77);
-  QuantizedTable qt;
-  QuantizeTableRows(t.rows.data(), t.n, t.d, &qt);
-  IvfConfig config;
-  config.nlist = 16;
-  config.nprobe = 16;
-  IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, &qt, config);
-  ASSERT_TRUE(index.quantized_lists());
-  IvfCandidateSource source(&index);
-  EXPECT_STREQ(source.name(), "ivf+int8");
-  const std::vector<std::vector<ScoredId>> got =
-      source.Retrieve(t.queries.data(), t.nq, 10);
-  for (int64_t q = 0; q < t.nq; ++q) {
-    for (const ScoredId& item : got[static_cast<size_t>(q)]) {
-      float want = 0.0f;
-      for (int64_t j = 0; j < t.d; ++j) {
-        want += t.queries[static_cast<size_t>(q * t.d + j)] *
-                t.rows[static_cast<size_t>(item.id * t.d + j)];
-      }
-      EXPECT_EQ(std::memcmp(&item.score, &want, sizeof(float)), 0)
-          << "query " << q << " item " << item.id;
-    }
-  }
 }
 
 // --- Claim 6: the packed-list scan at its edges. ----------------------------
@@ -430,7 +400,7 @@ TEST(IvfScanTest, ListLongerThanOneTile) {
   config.nlist = 2;
   config.nprobe = 2;
   IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  index.Build(t.rows.data(), t.n, t.d, config);
   EXPECT_GT(std::max(index.list_size(0), index.list_size(1)), gemm::kNC);
   ExpectFullProbeIsExact(t.rows, t.n, t.d, t.queries, t.nq, index,
                          {1, 25, gemm::kNC + 3}, "nlist 2");
@@ -451,7 +421,7 @@ TEST(IvfScanTest, EmptyListsAndLimitAboveTheProbedRows) {
   config.nlist = 6;
   config.nprobe = 6;
   IvfIndex full;
-  full.Build(rows.data(), n, d, nullptr, config);
+  full.Build(rows.data(), n, d, config);
   int64_t empty = 0;
   for (int64_t l = 0; l < full.nlist(); ++l) empty += full.list_size(l) == 0;
   EXPECT_GT(empty, 0);
@@ -464,7 +434,7 @@ TEST(IvfScanTest, EmptyListsAndLimitAboveTheProbedRows) {
   config.nlist = 8;
   config.nprobe = 3;
   IvfIndex partial;
-  partial.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  partial.Build(t.rows.data(), t.n, t.d, config);
   const std::vector<std::vector<ScoredId>> exact =
       ExactCandidateSource(t.rows.data(), t.n, t.d)
           .Retrieve(t.queries.data(), t.nq, t.n);
@@ -513,7 +483,7 @@ TEST(IvfScanTest, NonFiniteScoresKeepTheCanonicalOrder) {
   config.nlist = 20;
   config.nprobe = 20;
   IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  index.Build(t.rows.data(), t.n, t.d, config);
   ExpectFullProbeIsExact(t.rows, t.n, t.d, t.queries, t.nq, index,
                          {1, 15, t.n}, "non-finite rows");
   // The NaN row ranks after every number.
@@ -530,7 +500,7 @@ TEST(IvfScanTest, RangeShardsMergeIntoRetrieve) {
   config.nlist = 20;
   config.nprobe = 7;
   IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  index.Build(t.rows.data(), t.n, t.d, config);
   constexpr int64_t kLimit = 30;
   const int64_t cuts[] = {0, 6, 13, index.nlist()};
   for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
@@ -576,7 +546,7 @@ TEST(IvfDeathTest, BadRetrieveArguments) {
   EXPECT_DEATH(unbuilt.Retrieve(t.queries.data(), 1, 10), "PMM_CHECK");
   IvfConfig config;
   IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, nullptr, config);
+  index.Build(t.rows.data(), t.n, t.d, config);
   EXPECT_DEATH(index.Retrieve(t.queries.data(), 1, 0), "PMM_CHECK");
   EXPECT_DEATH(index.Retrieve(nullptr, 1, 10), "PMM_CHECK");
 }

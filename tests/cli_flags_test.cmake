@@ -1,0 +1,25 @@
+# pmmrec_cli must reject a flag its subcommand does not read: each case
+# passes only when the CLI exits nonzero and its output names the flag.
+# --nprob is a misspelt --nprobe; --quant is a flag no subcommand reads.
+#
+#   cmake -DCLI=<path to pmmrec_cli> -P cli_flags_test.cmake
+
+function(expect_rejected flag)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+  string(REPLACE ";" " " args "${ARGN}")
+  if(rc STREQUAL "0")
+    message(FATAL_ERROR
+            "pmmrec_cli ${args} exited 0 instead of rejecting --${flag}:\n"
+            "${out}")
+  endif()
+  string(FIND "${out}" "flag --${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "pmmrec_cli ${args} exited ${rc} without naming --${flag}:\n"
+            "${out}")
+  endif()
+endfunction()
+
+expect_rejected(nprob serve-bench --items 2000 --requests 8 --ann --nprob 3)
+expect_rejected(quant recommend --users 0 --quant)

@@ -5,11 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/serving.h"
 #include "data/batcher.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
-#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "utils/rng.h"
 
@@ -103,58 +100,6 @@ TEST(ContractDeathTest, BatcherRejectsEmptyInput) {
 TEST(ContractDeathTest, ReshapeNumelMismatchAborts) {
   Tensor a = Tensor::Zeros(Shape{2, 3});
   EXPECT_DEATH(Reshape(a, Shape{7}), "PMM_CHECK");
-}
-
-// Quantized-table rows and queries that could come from the same fp32
-// table; shared by the quantized-serving contract tests below.
-std::vector<float> QuantFixtureRows(int64_t n, int64_t d) {
-  Rng rng(9);
-  std::vector<float> rows(static_cast<size_t>(n * d));
-  for (float& v : rows) v = rng.NormalFloat();
-  return rows;
-}
-
-TEST(ContractDeathTest, StaleQuantizedTableScoringAborts) {
-  constexpr int64_t kItems = 8, kWidth = 4;
-  const std::vector<float> rows = QuantFixtureRows(kItems, kWidth);
-  QuantizedTable qt;
-  QuantizeTableRows(rows.data(), kItems, kWidth, &qt);
-  const std::vector<float> query(kWidth, 0.5f);
-  // Fresh table scores fine.
-  (void)QuantCandidateTopK(qt, rows.data(), query.data(), 1, kItems);
-  // Any parameter update anywhere makes the snapshot stale; scoring it
-  // must abort rather than silently rank against old codes.
-  BumpParamUpdateVersion();
-  EXPECT_DEATH(QuantCandidateTopK(qt, rows.data(), query.data(), 1, kItems),
-               "stale quantized table");
-}
-
-TEST(ContractDeathTest, RerankWindowOutsideCatalogueAborts) {
-  constexpr int64_t kItems = 8, kWidth = 4;
-  const std::vector<float> rows = QuantFixtureRows(kItems, kWidth);
-  QuantizedTable qt;
-  QuantizeTableRows(rows.data(), kItems, kWidth, &qt);
-  const std::vector<float> query(kWidth, 0.5f);
-  EXPECT_DEATH(
-      QuantCandidateTopK(qt, rows.data(), query.data(), 1, kItems + 1),
-      "re-rank window");
-  EXPECT_DEATH(QuantCandidateTopK(qt, rows.data(), query.data(), 1, 0),
-               "re-rank window");
-  EXPECT_DEATH(EffectiveRerankWindow(kItems + 1, kItems), "re-rank window");
-}
-
-TEST(ContractDeathTest, QuantizedAccessWithoutEnablingAborts) {
-  ItemTableCache cache;
-  EXPECT_DEATH(cache.quantized(0), "quantization not enabled");
-}
-
-TEST(ContractDeathTest, QGemmReductionBeyondOverflowBoundAborts) {
-  const int64_t k = gemm::kQMaxK + 1;
-  std::vector<int8_t> a(static_cast<size_t>(k), int8_t{1});
-  std::vector<int8_t> b(static_cast<size_t>(k), int8_t{1});
-  int32_t c = 0;
-  EXPECT_DEATH(gemm::QGemmNT(a.data(), b.data(), &c, 1, k, 1, k, k, 1),
-               "PMM_CHECK");
 }
 
 }  // namespace

@@ -194,18 +194,15 @@ TEST(LiveServeTest, LiveSnapshotMatchesStrictPathBitwiseAcrossServingModes) {
   const Dataset& ds = suite.sources[0];
   struct ModeSpec {
     const char* name;
-    bool quant, ann;
+    bool ann;
   };
   const ModeSpec kModes[] = {
-      {"exact", false, false},
-      {"int8", true, false},
-      {"ivf", false, true},
-      {"ivf+int8", true, true},
+      {"exact", false},
+      {"ivf", true},
   };
   for (const ModeSpec& mode : kModes) {
     SCOPED_TRACE(mode.name);
     PMMRecConfig config = PMMRecConfig::FromDataset(ds);
-    config.quantized_serving = mode.quant;
     config.ann_serving = mode.ann;
     PMMRecModel model(config, 42);
     model.AttachDataset(&ds);
@@ -218,14 +215,11 @@ TEST(LiveServeTest, LiveSnapshotMatchesStrictPathBitwiseAcrossServingModes) {
     std::vector<float> want(n);
     model.ScoreUsersBatched(prefixes, want.data());
     const auto want_retrieved = model.RetrieveCandidates(prefixes, 15);
-    std::vector<std::vector<ScoredId>> want_quant;
-    if (mode.quant) want_quant = model.ScoreUsersCandidates(prefixes);
 
     const std::shared_ptr<const ServingSnapshot> snap =
         model.PublishServingSnapshot();
     ASSERT_NE(snap, nullptr);
     ASSERT_NE(snap->user_encoder, nullptr);  // live flavour
-    EXPECT_EQ(snap->quantized, mode.quant);
     EXPECT_EQ(snap->ann, mode.ann);
 
     const auto expect_rows_bitwise =
@@ -246,10 +240,6 @@ TEST(LiveServeTest, LiveSnapshotMatchesStrictPathBitwiseAcrossServingModes) {
     EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
     expect_rows_bitwise(model.RetrieveCandidatesOn(snap, prefixes, 15),
                         want_retrieved, "retrieve");
-    if (mode.quant) {
-      expect_rows_bitwise(model.ScoreUsersCandidatesOn(snap, prefixes),
-                          want_quant, "quant");
-    }
 
     // A request admitted under vN is answered from vN: stepping the live
     // parameters must not change one bit of what the pinned snapshot
@@ -260,10 +250,6 @@ TEST(LiveServeTest, LiveSnapshotMatchesStrictPathBitwiseAcrossServingModes) {
     EXPECT_EQ(std::memcmp(after.data(), want.data(), n * sizeof(float)), 0);
     expect_rows_bitwise(model.RetrieveCandidatesOn(snap, prefixes, 15),
                         want_retrieved, "retrieve after step");
-    if (mode.quant) {
-      expect_rows_bitwise(model.ScoreUsersCandidatesOn(snap, prefixes),
-                          want_quant, "quant after step");
-    }
   }
 }
 

@@ -3,9 +3,9 @@
 //  1. Determinism under nondeterministic batching — a broker response is
 //     bitwise identical to the serial single-user path (ScoreItems +
 //     TopKSelect) for every tested combination of worker count, intra-op
-//     thread count, coalescing policy, arrival pattern, and duplicate
-//     merging. Which batch a request lands in must never show in its
-//     response.
+//     thread count, coalescing policy, arrival pattern, duplicate
+//     merging, and history exclusion on or off. Which batch a request
+//     lands in must never show in its response.
 //  2. Backpressure and deadlines are checked statuses, never hangs:
 //     queue-full rejects at submit, expired deadlines shed at dequeue,
 //     invalid requests reject immediately, item ids outside the pinned
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,35 @@ TEST_F(ServeTest, MergeDuplicatesOffMatchesMergeDuplicatesOn) {
       EXPECT_GT(stats.merged_requests, 0u);
     } else {
       EXPECT_EQ(stats.merged_requests, 0u);
+    }
+  }
+}
+
+TEST_F(ServeTest, HistoryExclusionOnAndOffMatchSerialTopK) {
+  constexpr int64_t kTopK = 10;
+  const std::vector<int32_t> prefix = ds_.TestPrefix(5);
+
+  for (const bool exclude : {true, false}) {
+    BrokerOptions options;
+    options.num_workers = 1;
+    options.exclude_history = exclude;
+    RequestBroker broker(&model_, options);
+    const Response response = broker.Recommend(prefix, kTopK);
+    ASSERT_EQ(response.status, ServeStatus::kOk);
+
+    const std::vector<float> scores = model_.ScoreItems(prefix);
+    const std::vector<ScoredId> want = TopKSelect(
+        scores.data(), static_cast<int64_t>(scores.size()), kTopK,
+        exclude ? std::span<const int32_t>(prefix)
+                : std::span<const int32_t>());
+    ExpectBitwise(response.items, want,
+                  exclude ? "exclude=on" : "exclude=off");
+    if (exclude) {
+      for (const ScoredId& item : response.items) {
+        for (const int32_t h : prefix) {
+          EXPECT_NE(item.id, h) << "history item served";
+        }
+      }
     }
   }
 }

@@ -2,7 +2,8 @@
 #define PMMREC_TESTS_TEST_UTIL_H_
 
 // Shared fixtures and helpers for the serving-path suites
-// (inference_test, serve_test, quant_serve_test, ann_test, golden_test).
+// (inference_test, serve_test, ann_test, live_serve_test, router_test,
+// fuzz_robustness_test, golden_test).
 // Everything here encodes the common experimental setup — the small
 // benchmark-suite model, mixed-length prefix batches, the serial bitwise
 // reference, and the canonical "one real optimizer step" parameter
@@ -62,8 +63,8 @@ inline void ExpectBitwise(const std::vector<ScoredId>& got,
 
 // One real optimizer step over the first 8 users — the canonical
 // parameter update of the invalidation tests. Bumps the process-wide
-// ParamUpdateVersion, so every serving cache (item table, int8 tables,
-// IVF index) goes stale.
+// ParamUpdateVersion, so every serving cache (item table, packed scan
+// table, IVF index) goes stale.
 inline void TrainOneStep(PMMRecModel& model, const Dataset& ds,
                          int64_t max_seq_len) {
   std::vector<int64_t> users;

@@ -28,25 +28,21 @@
 //             Single-user mode: serial scoring path, prints the history
 //             and the top-K items.
 //   recommend --data FILE.pmds --model MODEL.ckpt --users U1,U2,... [--topk K]
-//             [--serve-workers N] [--max-batch B] [--quant]
-//             [--rerank-window W] [--ann] [--nlist N] [--nprobe P]
+//             [--serve-workers N] [--max-batch B] [--ann] [--nlist N]
+//             [--nprobe P]
 //             Batch mode (--users all scores every user): requests are
 //             routed through the serving broker (src/serve/broker.h), so
 //             peak score memory is O(max_batch * n_items) — not
 //             O(users * n_items) — and only top-K ids/scores are kept per
-//             user. Prints a users/sec line. --quant scores candidates on
-//             the int8 item table and re-ranks the top window exactly in
-//             fp32 — top-K answers are bitwise identical to the default
-//             path (see DESIGN.md "Quantized serving"). --ann retrieves
-//             candidates from the IVF index (DESIGN.md "Candidate
-//             retrieval"): approximate recall, exact fp32 scores. --ann
-//             plus --quant probes the int8 inverted lists and re-ranks in
-//             fp32 — the combined mode. --nlist/--nprobe override the
-//             index defaults (sqrt(n) lists, nlist/32 probes).
+//             user. Prints a users/sec line. --ann retrieves candidates
+//             from the IVF index (DESIGN.md "Candidate retrieval"):
+//             approximate recall, exact fp32 scores. --nlist/--nprobe
+//             override the index defaults (sqrt(n) lists, nlist/32
+//             probes).
 //   serve-bench --data FILE.pmds --model MODEL.ckpt [--requests N]
 //             [--clients C] [--workers W] [--max-batch B] [--max-wait-us U]
-//             [--deadline-ms D] [--topk K] [--quant] [--rerank-window W]
-//             [--ann] [--nlist N] [--nprobe P] [--items N]
+//             [--queue-capacity Q] [--deadline-ms D] [--topk K] [--ann]
+//             [--nlist N] [--nprobe P] [--items N]
 //             [--seed S] [--shards W] [--shard-mode replica|ivf]
 //             --seed permutes the per-client user sequence (0 = the
 //             historical derivation, bit-for-bit). --shards W routes the
@@ -80,6 +76,10 @@
 //             verifies the newest item is retrievable from the fresh
 //             snapshot.
 //
+// Every subcommand reads all of its flags before it does any work and
+// exits with status 2, naming each flag, when one was not among them (a
+// typo such as --nprob, or a flag only another subcommand takes).
+//
 // Global flags (any subcommand):
 //   --threads N   Intra-op threads for the tensor kernels and evaluation
 //                 (overrides the PMMREC_NUM_THREADS env var; 1 = serial).
@@ -90,11 +90,6 @@
 //                 and print a summary table at exit. Respects an explicit
 //                 PMMREC_TRACE_LEVEL; defaults to `op`. Tracing never
 //                 changes results — only wall-clock, slightly.
-//
-// The PMMREC_QUANT env var (any value but "0") enables the quantized
-// serving path globally, equivalent to passing --quant everywhere; the
-// PMMREC_ANN env var does the same for --ann. Setting quant+ann serves
-// from the int8 inverted lists with exact fp32 re-ranking.
 //
 // Model checkpoints store parameters only; the architecture is derived
 // from the dataset schema plus PMMRecConfig defaults, so a checkpoint must
@@ -150,8 +145,19 @@ TransferSetting ParseSetting(const std::string& name) {
   return TransferSetting::kFull;
 }
 
-Dataset LoadDataOrDie(const FlagParser& flags) {
-  const std::string path = flags.GetString("data");
+// Names every flag the subcommand did not read and returns true if there
+// was one. Each subcommand calls it once it has read all of its flags and
+// before it does any work, so a misspelt flag never runs at its default.
+bool RejectUnreadFlags(const FlagParser& flags) {
+  const std::vector<std::string> unread = flags.UnqueriedFlags();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "pmmrec_cli %s does not read flag --%s\n",
+                 flags.positional()[0].c_str(), name.c_str());
+  }
+  return !unread.empty();
+}
+
+Dataset LoadDataOrDie(const std::string& path) {
   PMM_CHECK_MSG(!path.empty(), "--data is required");
   Dataset ds;
   const Status st = LoadDatasetFromFile(path, &ds);
@@ -163,6 +169,7 @@ int CmdGenData(const FlagParser& flags) {
   const std::string out_dir = flags.GetString("out-dir", ".");
   const double scale = flags.GetDouble("scale", 1.0);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
+  if (RejectUnreadFlags(flags)) return 2;
   BenchmarkSuite suite = BuildBenchmarkSuite(scale, seed);
   auto save = [&](const Dataset& ds) {
     const std::string path = out_dir + "/" + ds.name + ".pmds";
@@ -183,7 +190,9 @@ int CmdGenData(const FlagParser& flags) {
 }
 
 int CmdStats(const FlagParser& flags) {
-  const Dataset ds = LoadDataOrDie(flags);
+  const std::string data = flags.GetString("data");
+  if (RejectUnreadFlags(flags)) return 2;
+  const Dataset ds = LoadDataOrDie(data);
   std::printf("name:      %s (platform %s)\n", ds.name.c_str(),
               ds.platform.c_str());
   std::printf("users:     %lld\n", static_cast<long long>(ds.num_users()));
@@ -197,12 +206,11 @@ int CmdStats(const FlagParser& flags) {
 }
 
 int CmdTrain(const FlagParser& flags) {
-  const Dataset ds = LoadDataOrDie(flags);
-  PMMRecConfig config = PMMRecConfig::FromDataset(ds);
-  config.modality = ParseModality(flags.GetString("modality", "both"));
-  PMMRecModel model(config, static_cast<uint64_t>(flags.GetInt("seed", 42)));
-  model.SetPretrainingObjectives(flags.GetBool("pretrain-objectives", false));
-
+  const std::string data = flags.GetString("data");
+  const ModalityMode modality =
+      ParseModality(flags.GetString("modality", "both"));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const bool pretrain = flags.GetBool("pretrain-objectives", false);
   FitOptions opts;
   opts.max_epochs = flags.GetInt("epochs", 12);
   opts.verbose = true;
@@ -213,6 +221,14 @@ int CmdTrain(const FlagParser& flags) {
   // same way changing the shard count in one process would).
   const int64_t workers = std::max<int64_t>(1, flags.GetInt("workers", 1));
   const int64_t grad_shards = flags.GetInt("grad-shards", 0);
+  const std::string out = flags.GetString("out", "pmmrec.ckpt");
+  if (RejectUnreadFlags(flags)) return 2;
+
+  const Dataset ds = LoadDataOrDie(data);
+  PMMRecConfig config = PMMRecConfig::FromDataset(ds);
+  config.modality = modality;
+  PMMRecModel model(config, seed);
+  model.SetPretrainingObjectives(pretrain);
   const FitResult result =
       workers > 1 || grad_shards > 0
           ? dist::RunDataParallelFit(model, ds, opts, workers, grad_shards)
@@ -221,36 +237,71 @@ int CmdTrain(const FlagParser& flags) {
               result.best_val_hr10, static_cast<long long>(result.best_epoch),
               result.seconds);
 
-  const std::string out = flags.GetString("out", "pmmrec.ckpt");
   const Status st = model.SaveToFile(out);
   std::printf("saved %s: %s\n", out.c_str(), st.ToString().c_str());
   return st.ok() ? 0 : 1;
 }
 
+// The model-config flags (modality and retrieval mode) of the subcommands
+// that load a checkpoint and score with it. They are read before the
+// dataset whose schema completes the config is loaded.
+struct ModelFlags {
+  ModalityMode modality = ModalityMode::kBoth;
+  bool ann = false;
+  int64_t nlist = 0;
+  int64_t nprobe = 0;
+
+  static ModelFlags Read(const FlagParser& flags) {
+    ModelFlags f;
+    f.modality = ParseModality(flags.GetString("modality", "both"));
+    f.ann = flags.GetBool("ann", false);
+    f.nlist = flags.GetInt("nlist", 0);
+    f.nprobe = flags.GetInt("nprobe", 0);
+    return f;
+  }
+  PMMRecConfig ConfigFor(const Dataset& ds) const {
+    PMMRecConfig config = PMMRecConfig::FromDataset(ds);
+    config.modality = modality;
+    config.ann_serving = ann;
+    config.ann_nlist = nlist;
+    config.ann_nprobe = nprobe;
+    return config;
+  }
+};
+
 int CmdEvaluate(const FlagParser& flags) {
-  const Dataset ds = LoadDataOrDie(flags);
-  PMMRecConfig config = PMMRecConfig::FromDataset(ds);
-  config.modality = ParseModality(flags.GetString("modality", "both"));
-  config.ann_serving = flags.GetBool("ann", false);
-  config.ann_nlist = flags.GetInt("nlist", 0);
-  config.ann_nprobe = flags.GetInt("nprobe", 0);
-  PMMRecModel model(config, 1);
-  const Status st = model.LoadFromFile(flags.GetString("model"));
-  PMM_CHECK_MSG(st.ok(), st.ToString());
-  model.AttachDataset(&ds);
+  const std::string data = flags.GetString("data");
+  const ModelFlags model_flags = ModelFlags::Read(flags);
+  const std::string model_path = flags.GetString("model");
   const EvalSplit split = flags.GetString("split", "test") == "valid"
                               ? EvalSplit::kValidation
                               : EvalSplit::kTest;
+  if (RejectUnreadFlags(flags)) return 2;
+
+  const Dataset ds = LoadDataOrDie(data);
+  PMMRecModel model(model_flags.ConfigFor(ds), 1);
+  const Status st = model.LoadFromFile(model_path);
+  PMM_CHECK_MSG(st.ok(), st.ToString());
+  model.AttachDataset(&ds);
   const RankingMetrics metrics = EvaluateRanking(model, ds, split);
   std::printf("%s\n", metrics.ToString().c_str());
   return 0;
 }
 
 int CmdTransfer(const FlagParser& flags) {
-  const Dataset target = LoadDataOrDie(flags);
-  PMMRecConfig config = PMMRecConfig::FromDataset(target);
+  const std::string data = flags.GetString("data");
   const TransferSetting setting =
       ParseSetting(flags.GetString("setting", "full"));
+  const std::string source_path = flags.GetString("source-model");
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  FitOptions opts;
+  opts.max_epochs = flags.GetInt("epochs", 12);
+  opts.verbose = true;
+  const std::string out = flags.GetString("out", "pmmrec_finetuned.ckpt");
+  if (RejectUnreadFlags(flags)) return 2;
+
+  const Dataset target = LoadDataOrDie(data);
+  PMMRecConfig config = PMMRecConfig::FromDataset(target);
   if (setting == TransferSetting::kTextOnly) {
     config.modality = ModalityMode::kTextOnly;
   } else if (setting == TransferSetting::kVisionOnly) {
@@ -262,22 +313,17 @@ int CmdTransfer(const FlagParser& flags) {
   PMMRecConfig source_config = config;
   source_config.modality = ModalityMode::kBoth;
   PMMRecModel source(source_config, 1);
-  const Status st = source.LoadFromFile(flags.GetString("source-model"));
+  const Status st = source.LoadFromFile(source_path);
   PMM_CHECK_MSG(st.ok(), st.ToString());
 
-  PMMRecModel model(config, static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  PMMRecModel model(config, seed);
   model.TransferFrom(source, setting);
-
-  FitOptions opts;
-  opts.max_epochs = flags.GetInt("epochs", 12);
-  opts.verbose = true;
   FitModel(model, target, opts);
   const RankingMetrics metrics =
       EvaluateRanking(model, target, EvalSplit::kTest);
   std::printf("fine-tuned (%s transfer): %s\n", ToString(setting),
               metrics.ToString().c_str());
 
-  const std::string out = flags.GetString("out", "pmmrec_finetuned.ckpt");
   const Status save = model.SaveToFile(out);
   std::printf("saved %s: %s\n", out.c_str(), save.ToString().c_str());
   return save.ok() ? 0 : 1;
@@ -331,21 +377,24 @@ std::vector<int64_t> ParseUsers(const std::string& spec, int64_t num_users) {
 }
 
 int CmdRecommend(const FlagParser& flags) {
-  const Dataset ds = LoadDataOrDie(flags);
-  PMMRecConfig config = PMMRecConfig::FromDataset(ds);
-  config.modality = ParseModality(flags.GetString("modality", "both"));
-  config.quantized_serving = flags.GetBool("quant", false);
-  config.quant_rerank_window = flags.GetInt("rerank-window", 0);
-  config.ann_serving = flags.GetBool("ann", false);
-  config.ann_nlist = flags.GetInt("nlist", 0);
-  config.ann_nprobe = flags.GetInt("nprobe", 0);
-  PMMRecModel model(config, 1);
-  const Status st = model.LoadFromFile(flags.GetString("model"));
+  const std::string data = flags.GetString("data");
+  const ModelFlags model_flags = ModelFlags::Read(flags);
+  const std::string model_path = flags.GetString("model");
+  const int64_t topk = flags.GetInt("topk", 10);
+  const std::string users_spec = flags.GetString("users");
+  const int64_t user = flags.GetInt("user", 0);
+  serve::BrokerOptions options;
+  options.num_workers = flags.GetInt("serve-workers", 2);
+  options.max_batch = flags.GetInt("max-batch", 32);
+  options.max_wait_us = 0;  // Closed-loop: the queue is pre-filled.
+  if (RejectUnreadFlags(flags)) return 2;
+
+  const Dataset ds = LoadDataOrDie(data);
+  PMMRecModel model(model_flags.ConfigFor(ds), 1);
+  const Status st = model.LoadFromFile(model_path);
   PMM_CHECK_MSG(st.ok(), st.ToString());
   model.AttachDataset(&ds);
 
-  const int64_t topk = flags.GetInt("topk", 10);
-  const std::string users_spec = flags.GetString("users");
   if (!users_spec.empty()) {
     // Batch mode: requests routed through the serving broker, which
     // coalesces them into micro-batches over the grad-free path. Peak
@@ -353,10 +402,6 @@ int CmdRecommend(const FlagParser& flags) {
     // top-K ids/scores per user are ever held here, so `--users all`
     // works at any catalogue/user scale.
     const std::vector<int64_t> users = ParseUsers(users_spec, ds.num_users());
-    serve::BrokerOptions options;
-    options.num_workers = flags.GetInt("serve-workers", 2);
-    options.max_batch = flags.GetInt("max-batch", 32);
-    options.max_wait_us = 0;  // Closed-loop: the queue is pre-filled.
     options.queue_capacity = static_cast<int64_t>(users.size());
     serve::RequestBroker broker(&model, options);
 
@@ -381,13 +426,8 @@ int CmdRecommend(const FlagParser& flags) {
       PrintTopKEntries(users[i], responses[i].items, topk);
     }
     const serve::BrokerStats stats = broker.stats();
-    const char* path_note = "";
-    if (model.AnnServingEnabled()) {
-      path_note = model.QuantServingEnabled() ? ", ivf+int8 candidate path"
-                                              : ", ivf candidate path";
-    } else if (model.QuantServingEnabled()) {
-      path_note = ", int8 candidate path";
-    }
+    const char* path_note =
+        model.AnnServingEnabled() ? ", ivf candidate path" : "";
     std::printf("scored %zu users in %.2f ms (%.1f users/s, %llu batches, "
                 "max batch %llu%s)\n",
                 users.size(), ms,
@@ -397,7 +437,6 @@ int CmdRecommend(const FlagParser& flags) {
     return 0;
   }
 
-  const int64_t user = flags.GetInt("user", 0);
   PMM_CHECK_LT(user, ds.num_users());
   const std::vector<int32_t> history = ds.TestPrefix(user);
   const std::vector<float> scores = model.ScoreItems(history);
@@ -456,11 +495,11 @@ class ReferenceBook {
 };
 
 // Single-threaded reference answers for the probe prefixes against one
-// pinned snapshot, through the same route the broker takes (quantized
-// two-stage at its auto window, else the snapshot's CandidateSource) and
-// the same TopKFromRanked cut. The candidate limit only needs
-// topk + |exclude| per row for the final top-K to be limit-invariant, so
-// using the probes' own maximum matches any batch the broker forms.
+// pinned snapshot, through the same route the broker takes (the model's
+// CandidateSource) and the same TopKFromRanked cut. The candidate limit
+// only needs topk + |exclude| per row for the final top-K to be
+// limit-invariant, so using the probes' own maximum matches any batch the
+// broker forms.
 std::vector<std::vector<ScoredId>> ComputeProbeReference(
     PMMRecModel& model, const std::shared_ptr<const ServingSnapshot>& snap,
     const std::vector<std::vector<int32_t>>& probes, int64_t topk) {
@@ -469,10 +508,8 @@ std::vector<std::vector<ScoredId>> ComputeProbeReference(
     limit = std::max<int64_t>(limit, topk + static_cast<int64_t>(p.size()));
   }
   limit = std::min(limit, snap->num_items);
-  std::vector<std::vector<ScoredId>> ranked =
-      model.QuantServingEnabled()
-          ? model.ScoreUsersCandidatesOn(snap, probes)
-          : model.RetrieveCandidatesOn(snap, probes, limit);
+  const std::vector<std::vector<ScoredId>> ranked =
+      model.RetrieveCandidatesOn(snap, probes, limit);
   std::vector<std::vector<ScoredId>> out(probes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
     out[i] = TopKFromRanked(ranked[i], topk,
@@ -578,6 +615,22 @@ LoadStats RunLoad(
   return out;
 }
 
+// serve-bench's load and broker flags, read before any catalogue is
+// loaded or generated.
+struct ServeBenchFlags {
+  int64_t requests = 0;
+  int64_t clients = 0;
+  int64_t topk = 0;
+  int64_t deadline_ms = 0;
+  int64_t seed = 0;
+  int64_t update_every = 0;
+  int64_t hot_add = 0;
+  int64_t shards = 0;
+  std::string shard_mode;
+  std::string json;
+  serve::BrokerOptions broker;
+};
+
 // Train-while-serve benchmark (--update-every / --hot-add): three phases
 // on one model, writing BENCH_liveupdate.json.
 //
@@ -600,19 +653,15 @@ LoadStats RunLoad(
 // snapshot version; any divergence (or an unreachable hot-added item)
 // exits nonzero.
 int RunServeBenchLive(PMMRecModel& model, Dataset& ds,
-                      const FlagParser& flags) {
-  const int64_t requests = std::max<int64_t>(1, flags.GetInt("requests", 512));
-  const int64_t clients = std::max<int64_t>(1, flags.GetInt("clients", 8));
-  const int64_t topk = flags.GetInt("topk", 10);
-  const int64_t hot_add = std::max<int64_t>(0, flags.GetInt("hot-add", 0));
-  int64_t update_every = flags.GetInt("update-every", 0);
+                      const ServeBenchFlags& args) {
+  const int64_t requests = args.requests;
+  const int64_t clients = args.clients;
+  const int64_t topk = args.topk;
+  const int64_t hot_add = std::max<int64_t>(0, args.hot_add);
+  int64_t update_every = args.update_every;
   if (update_every <= 0) update_every = std::max<int64_t>(1, requests / 8);
 
-  serve::BrokerOptions options;
-  options.num_workers = flags.GetInt("workers", 2);
-  options.max_batch = flags.GetInt("max-batch", 32);
-  options.max_wait_us = flags.GetInt("max-wait-us", 200);
-  options.queue_capacity = flags.GetInt("queue-capacity", 1024);
+  serve::BrokerOptions options = args.broker;
   options.live_updates = true;
 
   std::vector<std::vector<int32_t>> probes;
@@ -786,8 +835,7 @@ int RunServeBenchLive(PMMRecModel& model, Dataset& ds,
                                        : "; hot-added items MISSING")
                   : "");
 
-  const std::string path =
-      flags.GetString("json", "BENCH_liveupdate.json");
+  const std::string& path = args.json;
   std::FILE* f = std::fopen(path.c_str(), "w");
   PMM_CHECK_MSG(f != nullptr, "cannot write " + path);
   std::fprintf(f,
@@ -842,6 +890,32 @@ int CmdServeBench(const FlagParser& flags) {
   // broker and the retrieval path at catalogue scales no checked-in
   // dataset reaches.
   const int64_t synth_items = flags.GetInt("items", 0);
+  const std::string data = synth_items > 0 ? "" : flags.GetString("data");
+  const std::string model_path =
+      synth_items > 0 ? "" : flags.GetString("model");
+  const ModelFlags model_flags = ModelFlags::Read(flags);
+  ServeBenchFlags args;
+  args.requests = std::max<int64_t>(1, flags.GetInt("requests", 512));
+  args.clients = std::max<int64_t>(1, flags.GetInt("clients", 8));
+  args.topk = flags.GetInt("topk", 10);
+  args.deadline_ms = flags.GetInt("deadline-ms", 0);
+  // --seed S permutes which users each client walks (S=0 keeps the
+  // historical derivation bit-for-bit), so repeated runs can sample a
+  // different request mix without changing the load shape.
+  args.seed = flags.GetInt("seed", 0);
+  args.update_every = flags.GetInt("update-every", 0);
+  args.hot_add = flags.GetInt("hot-add", 0);
+  args.shards = flags.GetInt("shards", 0);
+  args.shard_mode = flags.GetString("shard-mode", "replica");
+  args.json = flags.GetString("json", "BENCH_liveupdate.json");
+  args.broker.num_workers = flags.GetInt("workers", 2);
+  args.broker.max_batch = flags.GetInt("max-batch", 32);
+  args.broker.max_wait_us = flags.GetInt("max-wait-us", 200);
+  args.broker.queue_capacity = flags.GetInt("queue-capacity", 1024);
+  if (RejectUnreadFlags(flags)) return 2;
+  PMM_CHECK_MSG(args.shard_mode == "replica" || args.shard_mode == "ivf",
+                "unknown --shard-mode: " + args.shard_mode);
+
   Dataset ds;
   if (synth_items > 0) {
     SyntheticWorld world{WorldConfig{}};
@@ -853,52 +927,35 @@ int CmdServeBench(const FlagParser& flags) {
     pc.n_users = static_cast<int32_t>(std::min<int64_t>(synth_items, 2048));
     ds = DatasetGenerator(&world).Generate(pc);
   } else {
-    ds = LoadDataOrDie(flags);
+    ds = LoadDataOrDie(data);
   }
-  PMMRecConfig config = PMMRecConfig::FromDataset(ds);
-  config.modality = ParseModality(flags.GetString("modality", "both"));
-  config.quantized_serving = flags.GetBool("quant", false);
-  config.quant_rerank_window = flags.GetInt("rerank-window", 0);
-  config.ann_serving = flags.GetBool("ann", false);
-  config.ann_nlist = flags.GetInt("nlist", 0);
-  config.ann_nprobe = flags.GetInt("nprobe", 0);
-  PMMRecModel model(config, 1);
+  PMMRecModel model(model_flags.ConfigFor(ds), 1);
   if (synth_items <= 0) {
-    const Status st = model.LoadFromFile(flags.GetString("model"));
+    const Status st = model.LoadFromFile(model_path);
     PMM_CHECK_MSG(st.ok(), st.ToString());
   }
   model.AttachDataset(&ds);
 
   // Train-while-serve mode: --update-every / --hot-add switch to the
   // three-phase live-update benchmark (see RunServeBenchLive above).
-  if (flags.GetInt("update-every", 0) > 0 || flags.GetInt("hot-add", 0) > 0) {
-    return RunServeBenchLive(model, ds, flags);
+  if (args.update_every > 0 || args.hot_add > 0) {
+    return RunServeBenchLive(model, ds, args);
   }
 
-  const int64_t requests = std::max<int64_t>(1, flags.GetInt("requests", 512));
-  const int64_t clients = std::max<int64_t>(1, flags.GetInt("clients", 8));
-  const int64_t topk = flags.GetInt("topk", 10);
-  const int64_t deadline_ms = flags.GetInt("deadline-ms", 0);
-  // --seed S permutes which users each client walks (S=0 keeps the
-  // historical derivation bit-for-bit), so repeated runs can sample a
-  // different request mix without changing the load shape.
-  const int64_t seed = flags.GetInt("seed", 0);
-
-  serve::BrokerOptions options;
-  options.num_workers = flags.GetInt("workers", 2);
-  options.max_batch = flags.GetInt("max-batch", 32);
-  options.max_wait_us = flags.GetInt("max-wait-us", 200);
-  options.queue_capacity = flags.GetInt("queue-capacity", 1024);
+  const int64_t requests = args.requests;
+  const int64_t clients = args.clients;
+  const int64_t topk = args.topk;
+  const int64_t deadline_ms = args.deadline_ms;
+  const int64_t seed = args.seed;
+  const serve::BrokerOptions& options = args.broker;
 
   // --shards W serves through the multi-process tier (serve/router.h)
   // instead of the in-process broker: W forked replica workers
   // (hash-routed users, --shard-mode replica) or W IVF shard workers
   // scattering every request across inverted-list slices (--shard-mode
   // ivf, requires --ann). `options` becomes each worker's inner broker.
-  const int64_t shards = flags.GetInt("shards", 0);
-  const std::string shard_mode = flags.GetString("shard-mode", "replica");
-  PMM_CHECK_MSG(shard_mode == "replica" || shard_mode == "ivf",
-                "unknown --shard-mode: " + shard_mode);
+  const int64_t shards = args.shards;
+  const std::string& shard_mode = args.shard_mode;
   std::unique_ptr<serve::RequestBroker> broker;
   std::unique_ptr<serve::ShardRouter> router;
   if (shards > 0) {
@@ -964,12 +1021,7 @@ int CmdServeBench(const FlagParser& flags) {
         static_cast<size_t>(p / 100.0 * static_cast<double>(all.size())));
     return static_cast<double>(all[idx]) / 1e3;
   };
-  const char* path_note = "exact";
-  if (model.AnnServingEnabled()) {
-    path_note = model.QuantServingEnabled() ? "ivf+int8" : "ivf";
-  } else if (model.QuantServingEnabled()) {
-    path_note = "int8";
-  }
+  const char* path_note = model.AnnServingEnabled() ? "ivf" : "exact";
   if (router) {
     std::printf("serve-bench: %lld requests, %lld clients, %lld %s "
                 "shards (multi-process), seed %lld, %lld items, %s path\n",
