@@ -18,8 +18,20 @@ class FusionModule : public Module {
   // Returns e_cls: [N, d].
   Tensor Forward(const Tensor& text_hidden, const Tensor& vision_hidden);
 
+  // The inference forward over the packed item encoders' outputs (text:
+  // [n * (text_len + 1), d], vision: [n * (n_patches + 1), d], each
+  // item's [CLS] row first, which fusion skips): packs [MM-CLS], text
+  // rows 1..text_len and vision rows 1..n_patches per item, computes K and
+  // V of every row in the last block but everything else only for the
+  // [MM-CLS] row, and writes e_cls ([n, d]) to out — bitwise Forward on
+  // the encoders' hidden slices. Eval mode only; allocates no tensor.
+  void ForwardPacked(const float* text, const float* vision, int64_t n,
+                     float* out) const;
+
  private:
   int64_t d_;
+  int64_t text_len_;
+  int64_t n_patches_;
   Embedding mm_cls_emb_;
   TransformerEncoder encoder_;
 };

@@ -1,10 +1,35 @@
 #include "core/item_encoders.h"
 
 #include "nn/optimizer.h"
+#include "utils/arena.h"
 #include "utils/logging.h"
 
 namespace pmmrec {
 namespace {
+
+// The packed item encoders' shared tail: the bidirectional encoder over n
+// items of `seq` rows each (x, [n * seq, d]) into hidden, then, when
+// asked for, the mean over each item's rows as Mean(h, 1) computes it — a
+// zero-started sum over the rows in ascending order, then x 1/seq.
+void EncodePackedItems(const TransformerEncoder& encoder, const float* x,
+                       int64_t n, int64_t seq, int64_t d, float* hidden,
+                       float* pooled) {
+  std::vector<int64_t> offsets(static_cast<size_t>(n + 1));
+  for (int64_t i = 0; i <= n; ++i) offsets[static_cast<size_t>(i)] = i * seq;
+  encoder.ForwardPacked(x, offsets, /*causal=*/false, PackedRows::kAll,
+                        hidden);
+  if (pooled == nullptr) return;
+  const float inv = 1.0f / static_cast<float>(seq);
+  for (int64_t i = 0; i < n; ++i) {
+    float* p = pooled + i * d;
+    std::fill(p, p + d, 0.0f);
+    for (int64_t r = 0; r < seq; ++r) {
+      const float* h = hidden + (i * seq + r) * d;
+      for (int64_t c = 0; c < d; ++c) p[c] += h[c];
+    }
+    for (int64_t c = 0; c < d; ++c) p[c] = p[c] * inv;
+  }
+}
 
 std::vector<int32_t> ZeroIndices(int64_t n) {
   return std::vector<int32_t>(static_cast<size_t>(n), 0);
@@ -76,6 +101,39 @@ EncoderOutput TextEncoder::EncodeItems(const Dataset& ds,
   return Forward(tokens, n);
 }
 
+void TextEncoder::ForwardPacked(const Dataset& ds,
+                                std::span<const int32_t> item_ids,
+                                float* hidden, float* pooled) const {
+  // Forward's dropout is the identity only in eval mode.
+  PMM_CHECK_MSG(!training(),
+                "packed item encoding of a training-mode encoder — call "
+                "SetTraining(false) before encoding");
+  const int64_t n = static_cast<int64_t>(item_ids.size());
+  const int64_t seq = text_len_ + 1;  // [CLS] + tokens
+  const int64_t vocab = token_emb_.vocab_size();
+  const float* tok = token_emb_.weight.data();
+  const float* pos = pos_emb_.weight.data();
+  const float* cls = cls_emb_.weight.data();
+  // Forward's Concat of the gathered embeddings plus the position rows:
+  // the same embedding + position add per element, written in place.
+  ArenaScratch x(static_cast<size_t>(n * seq * d_));
+  for (int64_t i = 0; i < n; ++i) {
+    const auto& tokens = ds.items[static_cast<size_t>(item_ids[i])].tokens;
+    PMM_CHECK_EQ(static_cast<int64_t>(tokens.size()), text_len_);
+    for (int64_t p = 0; p < seq; ++p) {
+      const float* e = cls;
+      if (p > 0) {
+        const int64_t t = tokens[static_cast<size_t>(p - 1)];
+        PMM_CHECK_MSG(t >= 0 && t < vocab, "token id out of range");
+        e = tok + t * d_;
+      }
+      float* xr = x.data() + (i * seq + p) * d_;
+      for (int64_t c = 0; c < d_; ++c) xr[c] = e[c] + pos[p * d_ + c];
+    }
+  }
+  EncodePackedItems(encoder_, x.data(), n, seq, d_, hidden, pooled);
+}
+
 VisionEncoder::VisionEncoder(const PMMRecConfig& config, Rng* rng)
     : d_(config.d_model),
       n_patches_(config.n_patches),
@@ -129,6 +187,38 @@ EncoderOutput VisionEncoder::EncodeItems(
     patches.insert(patches.end(), item_patches.begin(), item_patches.end());
   }
   return Forward(patches, n);
+}
+
+void VisionEncoder::ForwardPacked(const Dataset& ds,
+                                  std::span<const int32_t> item_ids,
+                                  float* hidden, float* pooled) const {
+  PMM_CHECK_MSG(!training(),
+                "packed item encoding of a training-mode encoder — call "
+                "SetTraining(false) before encoding");
+  const int64_t n = static_cast<int64_t>(item_ids.size());
+  const int64_t seq = n_patches_ + 1;
+  const int64_t patch_floats = n_patches_ * patch_dim_;
+  ArenaScratch raw(static_cast<size_t>(n * patch_floats));
+  for (int64_t i = 0; i < n; ++i) {
+    const auto& patches =
+        ds.items[static_cast<size_t>(item_ids[i])].patches;
+    PMM_CHECK_EQ(static_cast<int64_t>(patches.size()), patch_floats);
+    std::copy(patches.begin(), patches.end(), raw.data() + i * patch_floats);
+  }
+  ArenaScratch proj(static_cast<size_t>(n * n_patches_ * d_));
+  patch_proj_.ForwardRows(raw.data(), proj.data(), n * n_patches_);
+  const float* pos = pos_emb_.weight.data();
+  const float* cls = cls_emb_.weight.data();
+  ArenaScratch x(static_cast<size_t>(n * seq * d_));
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t p = 0; p < seq; ++p) {
+      const float* e =
+          p == 0 ? cls : proj.data() + (i * n_patches_ + p - 1) * d_;
+      float* xr = x.data() + (i * seq + p) * d_;
+      for (int64_t c = 0; c < d_; ++c) xr[c] = e[c] + pos[p * d_ + c];
+    }
+  }
+  EncodePackedItems(encoder_, x.data(), n, seq, d_, hidden, pooled);
 }
 
 float PretrainItemEncoders(TextEncoder* text_encoder,

@@ -1,6 +1,7 @@
 #ifndef PMMREC_CORE_ITEM_ENCODERS_H_
 #define PMMREC_CORE_ITEM_ENCODERS_H_
 
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -29,6 +30,15 @@ class TextEncoder : public Module {
   EncoderOutput EncodeItems(const Dataset& ds,
                             const std::vector<int32_t>& item_ids);
 
+  // The inference forward over dataset items by id, one packed pass over
+  // every item's [CLS] + token rows: hidden receives Forward's h, all
+  // text_len + 1 rows of each item back to back ([ids.size() *
+  // (text_len + 1), d]); pooled, when non-null, its mean-pooled cls
+  // ([ids.size(), d]). Bitwise Forward's values at any thread count.
+  // Eval mode only; builds no graph, allocates no tensor.
+  void ForwardPacked(const Dataset& ds, std::span<const int32_t> item_ids,
+                     float* hidden, float* pooled) const;
+
   Embedding& token_embedding() { return token_emb_; }
 
  private:
@@ -51,6 +61,11 @@ class VisionEncoder : public Module {
   EncoderOutput Forward(const std::vector<float>& patches, int64_t n_items);
   EncoderOutput EncodeItems(const Dataset& ds,
                             const std::vector<int32_t>& item_ids);
+
+  // TextEncoder::ForwardPacked's vision counterpart: hidden receives all
+  // n_patches + 1 rows of each item ([ids.size() * (n_patches + 1), d]).
+  void ForwardPacked(const Dataset& ds, std::span<const int32_t> item_ids,
+                     float* hidden, float* pooled) const;
 
  private:
   int64_t d_;

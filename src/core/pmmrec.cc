@@ -73,6 +73,40 @@ PMMRecModel::ItemReps PMMRecModel::EncodeItemReps(
   return reps;
 }
 
+Tensor PMMRecModel::EncodeItemRepsPacked(
+    const std::vector<int32_t>& item_ids) const {
+  PMM_CHECK_MSG(dataset_ != nullptr, "AttachDataset must be called first");
+  const int64_t n = static_cast<int64_t>(item_ids.size());
+  const int64_t d = config_.d_model;
+  Tensor out = Tensor::Zeros(Shape{n, d});
+  switch (config_.modality) {
+    case ModalityMode::kBoth: {
+      ArenaScratch text(static_cast<size_t>(n * (config_.text_len + 1) * d));
+      ArenaScratch vision(
+          static_cast<size_t>(n * (config_.n_patches + 1) * d));
+      text_encoder_.ForwardPacked(*dataset_, item_ids, text.data(), nullptr);
+      vision_encoder_.ForwardPacked(*dataset_, item_ids, vision.data(),
+                                    nullptr);
+      fusion_.ForwardPacked(text.data(), vision.data(), n, out.data());
+      break;
+    }
+    case ModalityMode::kTextOnly: {
+      ArenaScratch text(static_cast<size_t>(n * (config_.text_len + 1) * d));
+      text_encoder_.ForwardPacked(*dataset_, item_ids, text.data(),
+                                  out.data());
+      break;
+    }
+    case ModalityMode::kVisionOnly: {
+      ArenaScratch vision(
+          static_cast<size_t>(n * (config_.n_patches + 1) * d));
+      vision_encoder_.ForwardPacked(*dataset_, item_ids, vision.data(),
+                                    out.data());
+      break;
+    }
+  }
+  return out;
+}
+
 Tensor PMMRecModel::TrainStepLoss(const SeqBatch& batch) {
   if (batch.num_unique() < 2 || batch.batch_size < 2) return Tensor();
   last_parts_ = LossParts();
@@ -156,7 +190,7 @@ bool PMMRecModel::EnsureItemTable() {
   ConfigureItemCache();
   return item_cache_.Ensure(
       dataset_->num_items(), [this](const std::vector<int32_t>& ids) {
-        return std::vector<Tensor>{EncodeItemReps(ids).final_};
+        return std::vector<Tensor>{EncodeItemRepsPacked(ids)};
       });
 }
 
@@ -174,7 +208,7 @@ std::shared_ptr<const ServingSnapshot> PMMRecModel::PublishServingSnapshot() {
   return item_cache_.Publish(
       dataset_->num_items(),
       [this](const std::vector<int32_t>& ids) {
-        return std::vector<Tensor>{EncodeItemReps(ids).final_};
+        return std::vector<Tensor>{EncodeItemRepsPacked(ids)};
       },
       [this](ServingSnapshot* snap) {
         // Freeze the user encoder into the snapshot: the clone serves

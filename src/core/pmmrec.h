@@ -194,6 +194,13 @@ class PMMRecModel : public Module, public TrainableRecommender {
     Tensor final_;  // representation fed to the user encoder
   };
   ItemReps EncodeItemReps(const std::vector<int32_t>& item_ids);
+  // The serving snapshots' chunk encoder (set-up, live publish, hot-add,
+  // validation): EncodeItemReps(item_ids).final_ ([n, d]) for every
+  // modality mode, in one packed pass through the encoders'
+  // ForwardPacked methods — bitwise equal at any thread count. Eval mode
+  // only (the packed passes refuse a training-mode module); builds no
+  // graph.
+  Tensor EncodeItemRepsPacked(const std::vector<int32_t>& item_ids) const;
 
  private:
   PMMRecConfig config_;

@@ -179,7 +179,6 @@ std::shared_ptr<ServingSnapshot> ItemTableCache::BuildSnapshot(
   snap->built_param_version = version;
   snap->num_items = num_items;
   snap->ann = ann;
-  snap->ann_config = ann_config;
 
   const auto ids_for_chunk = [num_items](int64_t chunk) {
     const int64_t start = chunk * kChunk;

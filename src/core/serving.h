@@ -73,9 +73,10 @@ struct ServingSnapshot {
   int64_t num_items = 0;
 
   std::vector<Tensor> tables;
-  std::vector<std::unique_ptr<IvfIndex>> ann_indexes;  // empty unless ann
+  // Empty unless ann; each index records the nlist and nprobe it was
+  // built with.
+  std::vector<std::unique_ptr<IvfIndex>> ann_indexes;
   bool ann = false;
-  IvfConfig ann_config;
 
   // Packed copy (gemm::PackNT) of the table the owning model's exact
   // route scans, so that scan never re-packs per batch. Built only for a

@@ -68,7 +68,8 @@ void UserEncoder::ForwardPackedLast(const float* item_rows,
                    static_cast<int64_t>(n));
   ArenaScratch x(n);
   input_ln_.ForwardRows(pos.data(), x.data(), rows);
-  encoder_.ForwardPackedLast(x.data(), offsets, out);
+  encoder_.ForwardPacked(x.data(), offsets, /*causal=*/true,
+                         PackedRows::kLast, out);
 }
 
 }  // namespace pmmrec

@@ -71,55 +71,59 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
 
 void MultiHeadSelfAttention::ForwardPacked(const float* x,
                                            std::span<const int64_t> offsets,
-                                           const float* x_last,
+                                           bool causal, PackedRows rows,
+                                           const float* x_rows,
                                            float* out) const {
   const int64_t users = static_cast<int64_t>(offsets.size()) - 1;
-  const int64_t rows = offsets.back();
-  const bool last_only = x_last != nullptr;
-  const int64_t q_rows = last_only ? users : rows;
+  const int64_t n_rows = offsets.back();
+  const bool all = rows == PackedRows::kAll;
+  const int64_t q_rows = all ? n_rows : users;
   const int64_t d = d_model_;
   ArenaScratch q(static_cast<size_t>(q_rows * d));
-  ArenaScratch k(static_cast<size_t>(rows * d));
-  ArenaScratch v(static_cast<size_t>(rows * d));
+  ArenaScratch k(static_cast<size_t>(n_rows * d));
+  ArenaScratch v(static_cast<size_t>(n_rows * d));
   // The heads write their columns of this zero-filled [q_rows, d] block in
   // place, which is what Concat of the per-head outputs assembles.
   ArenaScratch heads(static_cast<size_t>(q_rows * d));
-  wq_.ForwardRows(last_only ? x_last : x, q.data(), q_rows);
-  wk_.ForwardRows(x, k.data(), rows);
-  wv_.ForwardRows(x, v.data(), rows);
+  wq_.ForwardRows(all ? x : x_rows, q.data(), q_rows);
+  wk_.ForwardRows(x, k.data(), n_rows);
+  wv_.ForwardRows(x, v.data(), n_rows);
   const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
 
   // Each chunk owns whole sequences and runs them serially, so no result
   // depends on the thread count. Per head: scores = Q_h K_h^T reducing over
-  // d_head, x scale, + causal mask, row softmax, then P V_h reducing over
+  // d_head, x scale, (+ causal mask), row softmax, then P V_h reducing over
   // the sequence's own length — Forward's element order. Head slices are
   // read in place (leading dimension d): a GEMM element's accumulation
   // chain depends only on the reduction length and its coordinates.
   const int64_t mean_len =
-      std::max<int64_t>(1, rows / std::max<int64_t>(1, users));
-  const int64_t cost = 4 * d * mean_len * (last_only ? 1 : mean_len);
+      std::max<int64_t>(1, n_rows / std::max<int64_t>(1, users));
+  const int64_t cost = 4 * d * mean_len * (all ? mean_len : 1);
   ParallelFor(0, users, GrainForCost(cost), [&](int64_t u0, int64_t u1) {
     int64_t max_len = 0;
     for (int64_t u = u0; u < u1; ++u) {
       max_len = std::max(max_len, offsets[u + 1] - offsets[u]);
     }
     ArenaScratch scores(static_cast<size_t>(max_len * max_len));
-    ArenaScratch mask(static_cast<size_t>(max_len * max_len));
+    ArenaScratch mask(causal ? static_cast<size_t>(max_len * max_len) : 0);
     for (int64_t u = u0; u < u1; ++u) {
       const int64_t lo = offsets[u];
       const int64_t len = offsets[u + 1] - lo;
-      // The querying positions are [first, len): CausalMask(len)'s rows.
-      const int64_t first = last_only ? len - 1 : 0;
-      const int64_t nq = len - first;
+      // The querying positions are [first, first + nq): rows of the
+      // sequence's full score matrix.
+      const int64_t first = rows == PackedRows::kLast ? len - 1 : 0;
+      const int64_t nq = all ? len : 1;
       const int64_t cells = nq * len;
       float* m = mask.data();
-      for (int64_t i = 0; i < nq; ++i) {
-        for (int64_t j = 0; j < len; ++j) {
-          m[i * len + j] = j > first + i ? kMaskedScore : 0.0f;
+      if (causal) {
+        for (int64_t i = 0; i < nq; ++i) {
+          for (int64_t j = 0; j < len; ++j) {
+            m[i * len + j] = j > first + i ? kMaskedScore : 0.0f;
+          }
         }
       }
-      const float* qu = q.data() + (last_only ? u : lo) * d;
-      float* hu = heads.data() + (last_only ? u : lo) * d;
+      const float* qu = q.data() + (all ? lo : u) * d;
+      float* hu = heads.data() + (all ? lo : u) * d;
       float* s = scores.data();
       for (int64_t h = 0; h < n_heads_; ++h) {
         const int64_t col = h * d_head_;
@@ -127,7 +131,7 @@ void MultiHeadSelfAttention::ForwardPacked(const float* x,
         gemm::GemmNT(qu + col, k.data() + lo * d + col, s, nq, d_head_, len,
                      d, d, len);
         kernels::MulScalarN(s, scale, s, cells);
-        kernels::AddSame(s, m, s, cells);
+        if (causal) kernels::AddSame(s, m, s, cells);
         kernels::SoftmaxRows(s, s, nq, len);
         gemm::GemmNN(s, v.data() + lo * d + col, hu + col, nq, len, d_head_,
                      len, d, d);
@@ -160,31 +164,35 @@ Tensor TransformerBlock::Forward(const Tensor& x, const Tensor& attn_mask) {
 
 void TransformerBlock::ForwardPacked(const float* x,
                                      std::span<const int64_t> offsets,
-                                     bool last_only, float* out) const {
+                                     bool causal, PackedRows rows,
+                                     float* out) const {
   const int64_t users = static_cast<int64_t>(offsets.size()) - 1;
   const int64_t d = ln1_.gamma.numel();
-  const int64_t rows = last_only ? users : offsets.back();
-  const size_t n = static_cast<size_t>(rows * d);
-  // Each sequence's final row of x: the residual input of the rows kept.
-  ArenaScratch x_last(last_only ? n : 0);
-  if (last_only) {
+  const bool all = rows == PackedRows::kAll;
+  const int64_t n_rows = all ? offsets.back() : users;
+  const size_t n = static_cast<size_t>(n_rows * d);
+  // Each sequence's kept row of x: the residual input of the rows kept.
+  ArenaScratch x_kept(all ? 0 : n);
+  if (!all) {
     for (int64_t u = 0; u < users; ++u) {
-      std::memcpy(x_last.data() + u * d, x + (offsets[u + 1] - 1) * d,
+      const int64_t row =
+          rows == PackedRows::kLast ? offsets[u + 1] - 1 : offsets[u];
+      std::memcpy(x_kept.data() + u * d, x + row * d,
                   static_cast<size_t>(d) * sizeof(float));
     }
   }
-  const float* residual = last_only ? x_last.data() : x;
+  const float* residual = all ? x : x_kept.data();
   ArenaScratch a(n);
   ArenaScratch h(n);
   ArenaScratch f(n);
-  attn_.ForwardPacked(x, offsets, last_only ? x_last.data() : nullptr,
+  attn_.ForwardPacked(x, offsets, causal, rows, all ? nullptr : x_kept.data(),
                       a.data());
   // Forward's two residual sub-layers; dropout is the identity here.
   kernels::AddSame(residual, a.data(), a.data(), static_cast<int64_t>(n));
-  ln1_.ForwardRows(a.data(), h.data(), rows);
-  ffn_.ForwardRows(h.data(), f.data(), rows);
+  ln1_.ForwardRows(a.data(), h.data(), n_rows);
+  ffn_.ForwardRows(h.data(), f.data(), n_rows);
   kernels::AddSame(h.data(), f.data(), f.data(), static_cast<int64_t>(n));
-  ln2_.ForwardRows(f.data(), out, rows);
+  ln2_.ForwardRows(f.data(), out, n_rows);
 }
 
 TransformerEncoder::TransformerEncoder(int64_t n_blocks, int64_t d_model,
@@ -216,20 +224,21 @@ Tensor TransformerEncoder::ForwardFrom(const Tensor& x,
   return h;
 }
 
-void TransformerEncoder::ForwardPackedLast(const float* x,
-                                           std::span<const int64_t> offsets,
-                                           float* out) const {
+void TransformerEncoder::ForwardPacked(const float* x,
+                                       std::span<const int64_t> offsets,
+                                       bool causal, PackedRows rows,
+                                       float* out) const {
   const size_t n = static_cast<size_t>(offsets.back() * d_model_);
   ArenaScratch ping(n_blocks() > 1 ? n : 0);
   ArenaScratch pong(n_blocks() > 2 ? n : 0);
   const float* h = x;
   for (int64_t i = 0; i + 1 < n_blocks(); ++i) {
     float* next = i % 2 == 0 ? ping.data() : pong.data();
-    blocks_[static_cast<size_t>(i)]->ForwardPacked(h, offsets,
-                                                   /*last_only=*/false, next);
+    blocks_[static_cast<size_t>(i)]->ForwardPacked(h, offsets, causal,
+                                                   PackedRows::kAll, next);
     h = next;
   }
-  blocks_.back()->ForwardPacked(h, offsets, /*last_only=*/true, out);
+  blocks_.back()->ForwardPacked(h, offsets, causal, rows, out);
 }
 
 }  // namespace pmmrec

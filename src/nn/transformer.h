@@ -9,6 +9,12 @@
 
 namespace pmmrec {
 
+// The rows of each packed sequence a packed forward computes in full
+// (K and V are always projected for every row): all of them, each
+// sequence's last row (the causal user encoder's output), or its first
+// (the fusion's [MM-CLS] row).
+enum class PackedRows { kAll, kLast, kFirst };
+
 // Multi-head self-attention over [B, L, d].
 //
 // Heads are computed by slicing the projected Q/K/V along the feature
@@ -24,17 +30,20 @@ class MultiHeadSelfAttention : public Module {
 
   Tensor Forward(const Tensor& x, const Tensor& attn_mask);
 
-  // Raw-buffer causal attention for inference over sequences packed back
-  // to back: x is [offsets.back(), d], sequence u owning rows
+  // Raw-buffer attention for inference over sequences packed back to
+  // back: x is [offsets.back(), d], sequence u owning rows
   // [offsets[u], offsets[u+1]). K and V are projected for every row.
-  // With `x_last` null every row queries and out is [offsets.back(), d];
-  // otherwise only each sequence's final row queries, read from x_last
-  // ([U, d]), and out is [U, d]. Each output row is bitwise the row
-  // Forward(x_u, CausalMask(len_u)) gives for that sequence alone: the
-  // same kernels in the same order, with head slices read in place and
-  // each score GEMM reducing over the sequence's own length.
+  // With `rows` kAll every row queries and out is [offsets.back(), d];
+  // otherwise only each sequence's last or first row queries, read from
+  // x_rows ([U, d]), and out is [U, d]. `causal` adds CausalMask(len_u);
+  // otherwise no mask is added at all, as Forward does with an undefined
+  // mask. Each output row is bitwise the row Forward(x_u, mask) gives for
+  // that sequence alone: the same kernels in the same order, with head
+  // slices read in place and each score GEMM reducing over the
+  // sequence's own length.
   void ForwardPacked(const float* x, std::span<const int64_t> offsets,
-                     const float* x_last, float* out) const;
+                     bool causal, PackedRows rows, const float* x_rows,
+                     float* out) const;
 
   // [L, L] additive mask with -1e9 above the diagonal.
   static Tensor CausalMask(int64_t len);
@@ -60,13 +69,13 @@ class TransformerBlock : public Module {
 
   Tensor Forward(const Tensor& x, const Tensor& attn_mask);
 
-  // Raw-buffer causal forward over packed sequences (see
-  // MultiHeadSelfAttention::ForwardPacked). With `last_only` the block
-  // computes K and V for every row but everything else only for each
-  // sequence's final row, and out is [U, d]; otherwise out is
-  // [offsets.back(), d].
+  // Raw-buffer forward over packed sequences (see
+  // MultiHeadSelfAttention::ForwardPacked). Unless `rows` is kAll the
+  // block computes K and V for every row but everything else only for
+  // each sequence's last or first row, and out is [U, d]; otherwise out
+  // is [offsets.back(), d].
   void ForwardPacked(const float* x, std::span<const int64_t> offsets,
-                     bool last_only, float* out) const;
+                     bool causal, PackedRows rows, float* out) const;
 
  private:
   MultiHeadSelfAttention attn_;
@@ -90,11 +99,12 @@ class TransformerEncoder : public Module {
   Tensor ForwardFrom(const Tensor& x, const Tensor& attn_mask,
                      int64_t first_block);
 
-  // Final-row hidden states ([U, d]) of causal sequences packed back to
-  // back in x (see TransformerBlock::ForwardPacked): every block but the
-  // last runs over all rows, the last only over each final row.
-  void ForwardPackedLast(const float* x, std::span<const int64_t> offsets,
-                         float* out) const;
+  // Hidden states of sequences packed back to back in x (see
+  // TransformerBlock::ForwardPacked): every block but the last runs over
+  // all rows, the last over `rows` — [offsets.back(), d] for kAll, else
+  // [U, d].
+  void ForwardPacked(const float* x, std::span<const int64_t> offsets,
+                     bool causal, PackedRows rows, float* out) const;
 
   int64_t n_blocks() const { return static_cast<int64_t>(blocks_.size()); }
 

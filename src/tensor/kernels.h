@@ -1,7 +1,6 @@
 #ifndef PMMREC_TENSOR_KERNELS_H_
 #define PMMREC_TENSOR_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -76,14 +75,24 @@ void ForEachBroadcastPairRange(const Shape& out, const Shape& a,
   }
 }
 
-// GELU scalar (tanh approximation) shared by the eager op, the raw kernel
-// and the fused bias+GELU kernel, so all three agree bit-for-bit.
-inline float GeluScalar(float x) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  const float inner = kC * (x + kA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
+// tanh of one float: a transcription of fdlibm's float tanhf and expm1f,
+// the code glibc 2.36 ships, giving libm's bits on every input while
+// calling no libm (DESIGN.md "GELU without libm"). The one tanh in src/:
+// the eager Tanh op and every GELU run it or its lane form.
+float TanhF(float x);
+
+// GELU (tanh approximation) of one element:
+// 0.5x(1 + TanhF(sqrt(2/pi)(x + 0.044715x^3))). GeluN, BiasGeluRows and
+// GeluBackwardN compute the same bits in lanes and call this on ragged
+// tails, so the eager op and the packed passes agree bit for bit.
+float GeluScalar(float x);
+
+// TanhF over x[0, n) in the lane form of `width` 4 (every host) or 8
+// (AVX2 hosts only, see TanhLanes8Supported); elements past the last
+// whole lane group go through TanhF. The GELU kernels pick the widest
+// form once per process; this entry point exists for the kernel tests.
+void TanhLanes(const float* x, float* y, int64_t n, int width);
+bool TanhLanes8Supported();
 
 // out[i] = a[i] + b[i] (identical shapes).
 void AddSame(const float* a, const float* b, float* out, int64_t n);
@@ -97,6 +106,10 @@ void AddBroadcast(const float* a, const float* b, float* out,
 void MulScalarN(const float* a, float s, float* out, int64_t n);
 // out[i] = GeluScalar(a[i]).
 void GeluN(const float* a, float* out, int64_t n);
+// ga[i] += gout[i] * GELU'(x[i]), with t = TanhF(inner):
+// 0.5(1 + t) + 0.5x(1 - t^2) sqrt(2/pi)(1 + 3 * 0.044715x^2) — the eager
+// Gelu op's backward.
+void GeluBackwardN(const float* x, const float* gout, float* ga, int64_t n);
 // Numerically-stabilized softmax over each row of [rows, cols].
 void SoftmaxRows(const float* x, float* y, int64_t rows, int64_t cols);
 // LayerNorm over each row of [rows, d] with affine gamma/beta. When
@@ -130,8 +143,8 @@ void MatMulTNForward(const float* a, const float* b, float* out,
                      int64_t batch, int64_t m, int64_t k, int64_t n,
                      bool b_broadcast);
 // out[r,c] = GeluScalar(x[r,c] + bias[c]) — the bias-broadcast Add followed
-// by Gelu, one pass, identical per-element arithmetic (the packed
-// user-encoder pass's FFN; see UserEncoder::ForwardPackedLast).
+// by Gelu, one pass, identical per-element arithmetic (the packed passes'
+// FFN, FeedForward::ForwardRows).
 void BiasGeluRows(const float* x, const float* bias, float* out,
                   int64_t rows, int64_t cols);
 

@@ -484,30 +484,17 @@ Tensor Relu(const Tensor& a) {
 
 Tensor Gelu(const Tensor& a) {
   // tanh approximation: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  // Forward goes through kernels::GeluN, whose GeluScalar the packed
-  // serving pass's BiasGeluRows shares.
+  // Forward and backward are kernels::GeluN and kernels::GeluBackwardN:
+  // lane kernels over kernels::TanhF, whose bits the packed passes'
+  // BiasGeluRows shares.
   PMM_CHECK(a.defined());
   auto a_impl = a.impl();
   Tensor out = internal::MakeNode(
       a.shape(), {a}, [a_impl](TensorImpl& self) {
         if (!NeedsGrad(*a_impl)) return;
         a_impl->EnsureGrad();
-        constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-        constexpr float kA = 0.044715f;
-        const float* x = a_impl->const_data();
-        const float* gout = self.grad.data();
-        float* ga = a_impl->grad.data();
-        const int64_t n = self.shape.numel();
-        ParallelFor(0, n, GrainForCost(2), [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            const float xi = x[i];
-            const float inner = kC * (xi + kA * xi * xi * xi);
-            const float t = std::tanh(inner);
-            const float dinner = kC * (1.0f + 3.0f * kA * xi * xi);
-            ga[i] += gout[i] * (0.5f * (1.0f + t) +
-                                0.5f * xi * (1.0f - t * t) * dinner);
-          }
-        });
+        kernels::GeluBackwardN(a_impl->const_data(), self.grad.data(),
+                               a_impl->grad.data(), self.shape.numel());
       });
   kernels::GeluN(a.data(), out.data(), a.numel());
   return out;
@@ -515,7 +502,7 @@ Tensor Gelu(const Tensor& a) {
 
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(
-      a, [](float x) { return std::tanh(x); },
+      a, [](float x) { return kernels::TanhF(x); },
       [](float, float y) { return 1.0f - y * y; });
 }
 

@@ -1,6 +1,8 @@
-# pmmrec_cli must reject a flag its subcommand does not read: each case
-# passes only when the CLI exits nonzero and its output names the flag.
-# --nprob is a misspelt --nprobe; --quant is a flag no subcommand reads.
+# pmmrec_cli must reject a flag its subcommand does not read, and a flag
+# value that does not parse: each case passes only when the CLI exits
+# nonzero and its output names the flag. --nprob is a misspelt --nprobe;
+# --quant is a flag no subcommand reads; "on" is not a boolean and "abc"
+# not an integer.
 #
 #   cmake -DCLI=<path to pmmrec_cli> -P cli_flags_test.cmake
 
@@ -23,3 +25,5 @@ endfunction()
 
 expect_rejected(nprob serve-bench --items 2000 --requests 8 --ann --nprob 3)
 expect_rejected(quant recommend --users 0 --quant)
+expect_rejected(ann serve-bench --items 2000 --requests 8 --ann=on)
+expect_rejected(nprobe serve-bench --items 2000 --requests 8 --ann --nprobe=abc)

@@ -48,6 +48,27 @@ TEST(FlagParserTest, BoolValueVariants) {
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
   EXPECT_FALSE(flags.GetBool("d", true));
+  EXPECT_TRUE(flags.InvalidFlags().empty());
+}
+
+TEST(FlagParserTest, RecordsValuesThatDoNotParse) {
+  const char* argv[] = {"tool",      "--ann=on",  "--nprobe=abc",
+                        "--topk=3x", "--lr=0.5q", "--no=no",
+                        "--n=-4",    "--x=1e-3"};
+  FlagParser flags(8, argv);
+  EXPECT_TRUE(flags.GetBool("ann", true));  // the default
+  EXPECT_EQ(flags.GetInt("nprobe", 7), 7);
+  EXPECT_EQ(flags.GetInt("topk", 10), 10);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("lr", 0.25), 0.25);
+  EXPECT_FALSE(flags.GetBool("no", true));
+  EXPECT_EQ(flags.GetInt("n", 0), -4);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("x", 0), 1e-3);
+  const std::vector<std::string>& invalid = flags.InvalidFlags();
+  ASSERT_EQ(invalid.size(), 4u);
+  EXPECT_NE(invalid[0].find("flag --ann"), std::string::npos) << invalid[0];
+  EXPECT_NE(invalid[1].find("flag --nprobe"), std::string::npos) << invalid[1];
+  EXPECT_NE(invalid[2].find("flag --topk"), std::string::npos) << invalid[2];
+  EXPECT_NE(invalid[3].find("flag --lr"), std::string::npos) << invalid[3];
 }
 
 // --- Dataset serialization -----------------------------------------------------

@@ -14,7 +14,12 @@
 //  4. The item-table cache rebuilds exactly when it must: never on repeat
 //     scoring, always after an optimizer step / checkpoint load / return
 //     to training mode.
+//  5. The packed item pass that builds every snapshot table is bitwise the
+//     eager EncodeItemReps in every modality mode, at 1 and 4 threads, on
+//     full, ragged and one-item chunks, through a live publish and a
+//     hot-add; it refuses a training-mode model.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -349,6 +354,107 @@ TEST_F(InferenceTest, CacheRebuildIsThreadCountIndependent) {
               0)
         << "cached item table depends on the thread count";
   }
+}
+
+// --- Packed item encoding ----------------------------------------------------
+
+std::vector<int32_t> IdRange(int64_t lo, int64_t hi) {
+  std::vector<int32_t> ids;
+  for (int64_t id = lo; id < hi; ++id) ids.push_back(static_cast<int32_t>(id));
+  return ids;
+}
+
+void ExpectRowsBitwise(const float* got, const Tensor& want, int64_t n,
+                       int64_t d, const std::string& what) {
+  ASSERT_EQ(want.rank(), 2) << what;
+  ASSERT_EQ(want.dim(0), n) << what;
+  ASSERT_EQ(want.dim(1), d) << what;
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::memcmp(got + i * d, want.data() + i * d,
+                          static_cast<size_t>(d) * sizeof(float)),
+              0)
+        << what << " row " << i;
+  }
+}
+
+// Every row of a snapshot's table against eager EncodeItemReps over the
+// snapshot chunk grid (the last chunk ragged when the catalogue is not a
+// multiple of the chunk size).
+void ExpectTableIsEager(PMMRecModel& model, const ServingSnapshot& snap,
+                        const std::string& what) {
+  const int64_t n = snap.num_items;
+  const int64_t d = snap.width(0);
+  for (int64_t lo = 0; lo < n; lo += ItemTableCache::kChunk) {
+    const int64_t hi = std::min(n, lo + ItemTableCache::kChunk);
+    const Tensor want = model.EncodeItemReps(IdRange(lo, hi)).final_;
+    ExpectRowsBitwise(snap.table_data(0).data() + lo * d, want, hi - lo, d,
+                      what + " chunk at " + std::to_string(lo));
+  }
+}
+
+TEST_F(InferenceTest, PackedItemPassBitwiseEqualsEagerInEveryMode) {
+  const int64_t n_items = ds_.num_items();
+  ASSERT_GT(n_items, 64);
+  const std::vector<std::vector<int32_t>> chunks = {
+      IdRange(0, 64),                   // a full snapshot chunk
+      IdRange(n_items - 37, n_items),   // a ragged one
+      IdRange(n_items - 1, n_items),    // a single item
+  };
+  for (const ModalityMode mode :
+       {ModalityMode::kBoth, ModalityMode::kTextOnly,
+        ModalityMode::kVisionOnly}) {
+    PMMRecConfig config = config_;
+    config.modality = mode;
+    PMMRecModel model(config, 42);
+    model.AttachDataset(&ds_);
+    model.SetTrainingMode(false);
+    for (const std::vector<int32_t>& ids : chunks) {
+      const Tensor want = model.EncodeItemReps(ids).final_;
+      for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
+        NumThreadsGuard guard(threads);
+        InferenceMode inference;
+        const Tensor got = model.EncodeItemRepsPacked(ids);
+        ExpectRowsBitwise(got.data(), want, static_cast<int64_t>(ids.size()),
+                          config.d_model,
+                          std::string(ToString(mode)) + " items " +
+                              std::to_string(ids.size()) +
+                              " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST_F(InferenceTest, PackedItemPassRefusesTrainingMode) {
+  model_.SetTrainingMode(true);
+  const std::vector<int32_t> ids = {0, 1, 2};
+  EXPECT_DEATH(model_.EncodeItemRepsPacked(ids), "training-mode");
+}
+
+TEST(PackedItemSnapshotTest, LivePublishAndHotAddHoldEagerRows) {
+  BenchmarkSuite suite = BuildBenchmarkSuite(0.2, 13);
+  Dataset ds = suite.sources[0];  // Mutable copy: the hot-add target.
+  PMMRecModel model(PMMRecConfig::FromDataset(ds), 42);
+  model.AttachDataset(&ds);
+  NumThreadsGuard guard(4);
+  const std::shared_ptr<const ServingSnapshot> v1 =
+      model.PublishServingSnapshot();
+  ASSERT_NE(v1, nullptr);
+  ExpectTableIsEager(model, *v1, "live publish");
+
+  // Hot-add 70 items with content of their own (reversed token order,
+  // negated patches), so the grown catalogue re-encodes its boundary chunk
+  // and a tail that spans another chunk boundary.
+  for (size_t i = 0; i < 70; ++i) {
+    ItemContent item = ds.items[i];
+    std::reverse(item.tokens.begin(), item.tokens.end());
+    for (float& p : item.patches) p = -p;
+    ds.items.push_back(std::move(item));
+  }
+  const std::shared_ptr<const ServingSnapshot> v2 =
+      model.PublishServingSnapshot();
+  ASSERT_NE(v2, nullptr);
+  ASSERT_EQ(v2->num_items, v1->num_items + 70);
+  ExpectTableIsEager(model, *v2, "hot-add publish");
 }
 
 }  // namespace

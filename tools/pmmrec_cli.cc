@@ -145,16 +145,21 @@ TransferSetting ParseSetting(const std::string& name) {
   return TransferSetting::kFull;
 }
 
-// Names every flag the subcommand did not read and returns true if there
-// was one. Each subcommand calls it once it has read all of its flags and
-// before it does any work, so a misspelt flag never runs at its default.
+// Names every flag the subcommand did not read and every flag whose value
+// did not parse, and returns true if there was one. Each subcommand calls
+// it once it has read all of its flags and before it does any work, so a
+// misspelt flag or value never runs at its default.
 bool RejectUnreadFlags(const FlagParser& flags) {
   const std::vector<std::string> unread = flags.UnqueriedFlags();
   for (const std::string& name : unread) {
     std::fprintf(stderr, "pmmrec_cli %s does not read flag --%s\n",
                  flags.positional()[0].c_str(), name.c_str());
   }
-  return !unread.empty();
+  for (const std::string& message : flags.InvalidFlags()) {
+    std::fprintf(stderr, "pmmrec_cli %s: %s\n",
+                 flags.positional()[0].c_str(), message.c_str());
+  }
+  return !unread.empty() || !flags.InvalidFlags().empty();
 }
 
 Dataset LoadDataOrDie(const std::string& path) {
