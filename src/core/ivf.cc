@@ -204,9 +204,17 @@ std::vector<ScoredId> IvfIndex::ProbeLists(const float* query,
   return TopKSelect(cscores, nlist_, nprobe_);
 }
 
-std::vector<std::vector<ScoredId>> IvfIndex::ScanLists(
-    const float* queries, int64_t num_queries, int64_t limit, int64_t lo,
-    int64_t hi) const {
+std::vector<std::vector<ScoredId>> IvfIndex::Retrieve(
+    const float* queries, int64_t num_queries, int64_t limit) const {
+  PMM_CHECK_MSG(built(), "IVF index not built");
+  PMM_CHECK(queries != nullptr);
+  PMM_CHECK_GT(num_queries, 0);
+  PMM_CHECK_GE(limit, 1);
+  PMM_CHECK_MSG(!version_check_enabled_ ||
+                    built_param_version_ == ParamUpdateVersion(),
+                "stale ANN index: ParamUpdateVersion advanced since the "
+                "index was built");
+  PMM_TRACE_SCOPE_AT("ann.probe", kOp, "ann.probe.ns");
   std::vector<std::vector<ScoredId>> results(
       static_cast<size_t>(num_queries));
   std::atomic<int64_t> total_scanned{0};
@@ -225,7 +233,6 @@ std::vector<std::vector<ScoredId>> IvfIndex::ScanLists(
       TopKSelector selector(limit);
       int64_t scanned = 0;
       for (const ScoredId& p : ProbeLists(query, cscores.data())) {
-        if (p.id < lo || p.id >= hi) continue;
         const gemm::PackedNT& list = lists_[static_cast<size_t>(p.id)];
         const int32_t* ids = ids_.data() + offsets_[static_cast<size_t>(p.id)];
         const int64_t len = list_size(p.id);
@@ -247,46 +254,10 @@ std::vector<std::vector<ScoredId>> IvfIndex::ScanLists(
   });
   PMM_TRACE_COUNT("ann.rows_scanned",
                   total_scanned.load(std::memory_order_relaxed));
-  return results;
-}
-
-std::vector<std::vector<ScoredId>> IvfIndex::Retrieve(
-    const float* queries, int64_t num_queries, int64_t limit) const {
-  PMM_CHECK_MSG(built(), "IVF index not built");
-  PMM_CHECK(queries != nullptr);
-  PMM_CHECK_GT(num_queries, 0);
-  PMM_CHECK_GE(limit, 1);
-  PMM_CHECK_MSG(!version_check_enabled_ ||
-                    built_param_version_ == ParamUpdateVersion(),
-                "stale ANN index: ParamUpdateVersion advanced since the "
-                "index was built");
-  PMM_TRACE_SCOPE_AT("ann.probe", kOp, "ann.probe.ns");
-  std::vector<std::vector<ScoredId>> results =
-      ScanLists(queries, num_queries, limit, 0, nlist_);
   PMM_TRACE_COUNT("ann.queries", num_queries);
   PMM_TRACE_COUNT("ann.lists_probed", num_queries * nprobe_);
   PMM_TRACE_OBSERVE("ann.lists_probed_per_query", nprobe_);
   return results;
-}
-
-std::vector<std::vector<ScoredId>> IvfIndex::RetrieveInRange(
-    const float* queries, int64_t num_queries, int64_t limit, int64_t list_lo,
-    int64_t list_hi) const {
-  PMM_CHECK_MSG(built(), "IVF index not built");
-  PMM_CHECK(queries != nullptr);
-  PMM_CHECK_GT(num_queries, 0);
-  PMM_CHECK_GE(limit, 1);
-  PMM_CHECK_GE(list_lo, 0);
-  PMM_CHECK_LE(list_lo, list_hi);
-  PMM_CHECK_LE(list_hi, nlist_);
-  PMM_CHECK_MSG(!version_check_enabled_ ||
-                    built_param_version_ == ParamUpdateVersion(),
-                "stale ANN index: ParamUpdateVersion advanced since the "
-                "index was built");
-  PMM_TRACE_SCOPE_AT("ann.probe_shard", kOp, "ann.probe_shard.ns");
-  // The full centroid ranking picks the probe set, as in Retrieve(), so
-  // the shards of a partition scan disjoint slices of the same lists.
-  return ScanLists(queries, num_queries, limit, list_lo, list_hi);
 }
 
 // --- IvfCandidateSource -----------------------------------------------------

@@ -116,19 +116,6 @@ class IvfIndex {
                                               int64_t num_queries,
                                               int64_t limit) const;
 
-  // Shard-restricted retrieval: exactly Retrieve() with the probed set
-  // intersected with lists [list_lo, list_hi) — probe selection still
-  // ranks all nlist centroids, only the scan skips out-of-range lists. A
-  // row therefore lands in exactly one shard of a partition, and the
-  // union of the shards' candidates over a partition of [0, nlist) is
-  // exactly the unsharded candidate multiset (ShardRouter's IVF-mode
-  // merge relies on this).
-  std::vector<std::vector<ScoredId>> RetrieveInRange(const float* queries,
-                                                     int64_t num_queries,
-                                                     int64_t limit,
-                                                     int64_t list_lo,
-                                                     int64_t list_hi) const;
-
   bool built() const { return nlist_ > 0; }
   int64_t num_rows() const { return n_; }
   int64_t width() const { return d_; }
@@ -155,12 +142,6 @@ class IvfIndex {
   // The top nprobe() lists of one query, by exact centroid score in
   // canonical order. `cscores` is nlist() floats of scratch.
   std::vector<ScoredId> ProbeLists(const float* query, float* cscores) const;
-  // The fp32 scan behind Retrieve and RetrieveInRange: each query's top
-  // `limit` over the rows of its probed lists that fall in [lo, hi).
-  std::vector<std::vector<ScoredId>> ScanLists(const float* queries,
-                                               int64_t num_queries,
-                                               int64_t limit, int64_t lo,
-                                               int64_t hi) const;
 
   int64_t n_ = 0;
   int64_t d_ = 0;

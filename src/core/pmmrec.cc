@@ -429,47 +429,6 @@ std::vector<std::vector<ScoredId>> PMMRecModel::RetrieveExactCandidatesOn(
                       limit);
 }
 
-namespace {
-
-// IvfIndex::RetrieveInRange behind the CandidateSource interface so the
-// shard path reuses RetrieveWith (user representations come from the same
-// packed encoder pass as every other retrieval mode).
-class IvfShardCandidateSource final : public CandidateSource {
- public:
-  IvfShardCandidateSource(const IvfIndex* index, int64_t list_lo,
-                          int64_t list_hi)
-      : index_(index), list_lo_(list_lo), list_hi_(list_hi) {}
-
-  std::vector<std::vector<ScoredId>> Retrieve(const float* queries,
-                                              int64_t num_queries,
-                                              int64_t limit) const override {
-    return index_->RetrieveInRange(queries, num_queries, limit, list_lo_,
-                                   list_hi_);
-  }
-  int64_t num_rows() const override { return index_->num_rows(); }
-  int64_t width() const override { return index_->width(); }
-  const char* name() const override { return "ivf-shard"; }
-
- private:
-  const IvfIndex* index_;
-  int64_t list_lo_;
-  int64_t list_hi_;
-};
-
-}  // namespace
-
-std::vector<std::vector<ScoredId>> PMMRecModel::RetrieveShardCandidatesOn(
-    const std::shared_ptr<const ServingSnapshot>& snap,
-    std::span<const std::vector<int32_t>> prefixes, int64_t limit,
-    int64_t list_lo, int64_t list_hi) {
-  if (prefixes.empty()) return {};
-  PMM_CHECK(snap != nullptr);
-  PMM_CHECK_GE(limit, 1);
-  PMM_CHECK_MSG(snap->ann, "IVF shard retrieval needs an ANN snapshot");
-  IvfShardCandidateSource source(&snap->ann_index(0), list_lo, list_hi);
-  return RetrieveWith(*snap, source, prefixes, limit);
-}
-
 void PMMRecModel::TransferFrom(const PMMRecModel& source,
                                TransferSetting setting) {
   switch (setting) {

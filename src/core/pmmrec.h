@@ -136,16 +136,6 @@ class PMMRecModel : public Module, public TrainableRecommender {
   std::vector<std::vector<ScoredId>> RetrieveExactCandidatesOn(
       const std::shared_ptr<const ServingSnapshot>& snap,
       std::span<const std::vector<int32_t>> prefixes, int64_t limit);
-  // IVF-shard retrieval: like RetrieveCandidatesOn restricted to inverted
-  // lists [list_lo, list_hi) — the per-worker scatter half of the
-  // ShardRouter's IVF mode (serve/router.h). Probe selection still ranks
-  // all centroids, so the union of disjoint shard results over equal
-  // nprobe is exactly the single-process candidate multiset. Requires an
-  // ANN snapshot.
-  std::vector<std::vector<ScoredId>> RetrieveShardCandidatesOn(
-      const std::shared_ptr<const ServingSnapshot>& snap,
-      std::span<const std::vector<int32_t>> prefixes, int64_t limit,
-      int64_t list_lo, int64_t list_hi);
 
   // Marks the current snapshot stale without touching parameters: the
   // next Ensure/PinForServing rebuilds in full (no hot-add row reuse).

@@ -207,15 +207,6 @@ void CopyParamsToFlat(const std::vector<Tensor*>& params, float* out) {
   }
 }
 
-void CopyFlatToParams(const float* in, const std::vector<Tensor*>& params) {
-  int64_t off = 0;
-  for (Tensor* p : params) {
-    std::memcpy(p->data(), in + off,
-                static_cast<size_t>(p->numel()) * sizeof(float));
-    off += p->numel();
-  }
-}
-
 FitResult FitModel(TrainableRecommender& model, const Dataset& ds,
                    const FitOptions& options, GradReducer* reducer) {
   Stopwatch watch;

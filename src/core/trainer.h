@@ -135,13 +135,12 @@ struct FitResult {
 FitResult FitModel(TrainableRecommender& model, const Dataset& ds,
                    const FitOptions& options, GradReducer* reducer = nullptr);
 
-// Flat-parameter helpers shared by the gradient all-reduce and the
-// router's parameter-publish channel: total element count and
-// order-preserving copies between a parameter set and one flat buffer
-// (TrainableParameters() order, row-major within each tensor).
+// Flat-parameter helpers: the total element count (the size of one
+// gradient slot of the all-reduce) and an order-preserving copy of a
+// parameter set into one flat buffer (TrainableParameters() order,
+// row-major within each tensor).
 int64_t TotalParamNumel(const std::vector<Tensor*>& params);
 void CopyParamsToFlat(const std::vector<Tensor*>& params, float* out);
-void CopyFlatToParams(const float* in, const std::vector<Tensor*>& params);
 
 // Train-while-serve driver (see DESIGN.md "Versioned serving snapshots").
 //

@@ -11,8 +11,8 @@
 namespace pmmrec {
 namespace dist {
 
-// Gradient all-reduce over shared memory (see DESIGN.md "Multi-process
-// scale-out").
+// Gradient all-reduce over shared memory (see DESIGN.md "Data-parallel
+// training").
 //
 // The combine is a fixed pairwise tree over the S shard slots:
 //

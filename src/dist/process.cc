@@ -24,9 +24,9 @@
 #endif
 
 #ifdef PMMREC_TSAN
-// Forked ranks and serving workers spawn their own threads; TSan's default
-// die_after_fork=1 would abort them. One definition here covers every
-// binary that links pmmrec_dist.
+// Forked ranks spawn their own threads; TSan's default die_after_fork=1
+// would abort them. One definition here covers every binary that links
+// pmmrec_dist.
 extern "C" const char* __tsan_default_options() {
   return "die_after_fork=0";
 }
@@ -126,7 +126,7 @@ FitResult RunDataParallelFit(TrainableRecommender& model, const Dataset& ds,
   }
 
   // Anchor the process-wide monotonic clock base before forking so every
-  // rank's trace::NowNs() shares one epoch (wire deadlines rely on this).
+  // rank's trace::NowNs() shares one epoch.
   trace::NowNs();
   ShmGradSegment seg(n, grad_shards, workers);
   const int64_t total_threads = GetNumThreads();

@@ -9,14 +9,14 @@
 namespace pmmrec {
 namespace dist {
 
-// Multi-process substrate (see DESIGN.md "Multi-process scale-out").
+// Multi-process substrate (see DESIGN.md "Data-parallel training").
 //
 // Workers are fork()ed children of one parent: an anonymous MAP_SHARED
 // mapping created before the fork is inherited by every child, so the
-// gradient slots, barrier words and parameter publish block all live at
-// the same address in every rank with no name in the filesystem to leak
-// on a crash. Everything placed inside a segment must be trivially
-// layout-stable (plain scalars and std::atomic of lock-free scalars).
+// gradient slots and barrier words live at the same address in every
+// rank with no name in the filesystem to leak on a crash. Everything
+// placed inside a segment must be trivially layout-stable (plain scalars
+// and std::atomic of lock-free scalars).
 
 // Anonymous shared mapping. Create BEFORE fork(); the parent and all
 // children then address the same physical pages. Zero-initialized.

@@ -17,7 +17,6 @@ const char* ToString(ServeStatus status) {
     case ServeStatus::kQueueFull: return "QUEUE_FULL";
     case ServeStatus::kShutdown: return "SHUTDOWN";
     case ServeStatus::kInvalidRequest: return "INVALID_REQUEST";
-    case ServeStatus::kWorkerLost: return "WORKER_LOST";
   }
   return "UNKNOWN";
 }

@@ -78,8 +78,6 @@ enum class ServeStatus {
   kInvalidRequest,    // Empty prefix, non-positive topk, or unknown domain
                       // (at submit); an item id outside the pinned
                       // snapshot's catalogue (at dequeue).
-  kWorkerLost,        // Router mode only: the serving worker process died
-                      // with this request outstanding (serve/router.h).
 };
 
 const char* ToString(ServeStatus status);

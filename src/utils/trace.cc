@@ -9,7 +9,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <unordered_map>
 
 #include "utils/table.h"
@@ -260,22 +259,6 @@ void Histogram::Observe(uint64_t value) {
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
-void Histogram::AddSamples(int index, uint64_t n) {
-  buckets_[index].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void Histogram::MergeFrom(const Histogram& other) {
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const uint64_t n = other.buckets_[b].load(std::memory_order_relaxed);
-    if (n != 0) buckets_[b].fetch_add(n, std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-}
-
 double Histogram::Mean() const {
   const uint64_t n = count();
   return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
@@ -341,90 +324,6 @@ void ResetHistograms() {
   HistogramRegistry& registry = Histograms();
   std::lock_guard<std::mutex> lock(registry.mu);
   for (auto& [name, hist] : registry.by_name) hist->Reset();
-}
-
-// --- Telemetry transfer ------------------------------------------------------
-
-std::string SerializeTelemetry() {
-  std::string out;
-  for (const auto& [name, value] : CounterSnapshot()) {
-    out += "C " + name + " " + std::to_string(value) + "\n";
-  }
-  std::vector<Histogram*> hists;
-  {
-    HistogramRegistry& registry = Histograms();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    for (const auto& [name, hist] : registry.by_name) {
-      if (hist->count() != 0) hists.push_back(hist);
-    }
-  }
-  std::sort(hists.begin(), hists.end(),
-            [](const Histogram* a, const Histogram* b) {
-              return a->name() < b->name();
-            });
-  for (const Histogram* h : hists) {
-    out += "H " + h->name() + " " + std::to_string(h->count()) + " " +
-           std::to_string(h->sum());
-    for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-      const uint64_t n = h->bucket_count(b);
-      if (n != 0) {
-        out += " " + std::to_string(b) + ":" + std::to_string(n);
-      }
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-bool ParseTelemetry(const std::string& text, TelemetrySnapshot* out) {
-  out->counters.clear();
-  out->histograms.clear();
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    std::istringstream in(line);
-    std::string kind, name;
-    if (!(in >> kind >> name)) return false;
-    if (kind == "C") {
-      uint64_t value = 0;
-      if (!(in >> value)) return false;
-      out->counters.emplace_back(std::move(name), value);
-    } else if (kind == "H") {
-      TelemetrySnapshot::HistogramData h;
-      h.name = std::move(name);
-      if (!(in >> h.count >> h.sum)) return false;
-      std::string pair;
-      while (in >> pair) {
-        const size_t colon = pair.find(':');
-        if (colon == std::string::npos) return false;
-        char* end = nullptr;
-        const long idx = std::strtol(pair.c_str(), &end, 10);
-        if (end != pair.c_str() + colon) return false;
-        const unsigned long long n =
-            std::strtoull(pair.c_str() + colon + 1, &end, 10);
-        if (end != pair.c_str() + pair.size()) return false;
-        if (idx < 0 || idx >= Histogram::kNumBuckets) return false;
-        h.buckets.emplace_back(static_cast<int>(idx),
-                               static_cast<uint64_t>(n));
-      }
-      out->histograms.push_back(std::move(h));
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-void MergeTelemetry(const TelemetrySnapshot& snapshot) {
-  for (const auto& [name, value] : snapshot.counters) {
-    Counter::Get(name).Add(value);
-  }
-  for (const auto& h : snapshot.histograms) {
-    Histogram& dst = Histogram::Get(h.name);
-    for (const auto& [idx, n] : h.buckets) dst.AddSamples(idx, n);
-    dst.AddSum(h.sum);
-  }
 }
 
 // --- Events ------------------------------------------------------------------

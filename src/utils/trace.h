@@ -135,21 +135,6 @@ class Histogram {
   explicit Histogram(std::string name) : name_(std::move(name)) {}
 
   void Observe(uint64_t value);
-  // Adds every bucket, the count and the sum of `other` into this
-  // histogram. Bucket-exact: merging per-worker histograms and then
-  // querying percentiles gives the same bounds as observing every sample
-  // into one histogram. Safe against concurrent Observe() on either side
-  // (relaxed adds), like Observe itself.
-  void MergeFrom(const Histogram& other);
-  // Raw bucket access for merge/serialization: the current count of one
-  // bucket, and direct bucket/sum injection (telemetry deserialization).
-  uint64_t bucket_count(int index) const {
-    return buckets_[index].load(std::memory_order_relaxed);
-  }
-  void AddSamples(int index, uint64_t n);
-  void AddSum(uint64_t delta) {
-    sum_.fetch_add(delta, std::memory_order_relaxed);
-  }
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   double Mean() const;
@@ -188,32 +173,6 @@ struct HistogramStats {
 std::vector<HistogramStats> HistogramSnapshot();
 // Zeroes every registered histogram (tests, per-section benchmarking).
 void ResetHistograms();
-
-// --- Telemetry transfer ------------------------------------------------------
-
-// Portable snapshot of every registered counter and histogram, used to
-// roll per-worker telemetry up into the router process (serve/router.h).
-// Histograms carry their raw bucket counts so the merge is bucket-exact.
-struct TelemetrySnapshot {
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  struct HistogramData {
-    std::string name;
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    // (bucket index, samples) for every non-empty bucket, index-ascending.
-    std::vector<std::pair<int, uint64_t>> buckets;
-  };
-  std::vector<HistogramData> histograms;
-};
-
-// Text wire format, one entry per line:
-//   C <name> <value>
-//   H <name> <count> <sum> <idx>:<cnt> <idx>:<cnt> ...
-// Names are the registry names (no whitespace by convention).
-std::string SerializeTelemetry();
-bool ParseTelemetry(const std::string& text, TelemetrySnapshot* out);
-// Adds a snapshot into this process's registries (interning by name).
-void MergeTelemetry(const TelemetrySnapshot& snapshot);
 
 // --- Events ------------------------------------------------------------------
 

@@ -19,9 +19,8 @@
 //  5. Config contract: out-of-range nlist/nprobe and bad Retrieve
 //     arguments die under PMM_CHECK.
 //  6. The packed-list scan's edges: lists longer than one kNC tile, empty
-//     lists, limits above the probed row count, non-finite scores, and
-//     the RetrieveInRange shards of a list partition merging back into
-//     Retrieve — each bitwise, at one and four threads.
+//     lists, limits above the probed row count and non-finite scores —
+//     each bitwise, at one and four threads.
 //
 // Labelled `ann`; CI also runs this suite under PMMREC_SANITIZE=thread.
 
@@ -491,40 +490,6 @@ TEST(IvfScanTest, NonFiniteScoresKeepTheCanonicalOrder) {
       index.Retrieve(t.queries.data(), t.nq, t.n);
   for (const std::vector<ScoredId>& row : all) {
     EXPECT_EQ(row.back().id, 17);
-  }
-}
-
-TEST(IvfScanTest, RangeShardsMergeIntoRetrieve) {
-  const SyntheticTable t = MakeClusteredTable(700, 12, 16, 49);
-  IvfConfig config;
-  config.nlist = 20;
-  config.nprobe = 7;
-  IvfIndex index;
-  index.Build(t.rows.data(), t.n, t.d, config);
-  constexpr int64_t kLimit = 30;
-  const int64_t cuts[] = {0, 6, 13, index.nlist()};
-  for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
-    NumThreadsGuard guard(threads);
-    const std::vector<std::vector<ScoredId>> want =
-        index.Retrieve(t.queries.data(), t.nq, kLimit);
-    std::vector<std::vector<ScoredId>> merged(static_cast<size_t>(t.nq));
-    for (size_t s = 0; s + 1 < std::size(cuts); ++s) {
-      const std::vector<std::vector<ScoredId>> shard = index.RetrieveInRange(
-          t.queries.data(), t.nq, kLimit, cuts[s], cuts[s + 1]);
-      for (int64_t q = 0; q < t.nq; ++q) {
-        const std::vector<ScoredId>& part = shard[static_cast<size_t>(q)];
-        merged[static_cast<size_t>(q)].insert(
-            merged[static_cast<size_t>(q)].end(), part.begin(), part.end());
-      }
-    }
-    for (int64_t q = 0; q < t.nq; ++q) {
-      std::vector<ScoredId>& m = merged[static_cast<size_t>(q)];
-      std::sort(m.begin(), m.end(), RanksBefore);
-      if (static_cast<int64_t>(m.size()) > kLimit) m.resize(kLimit);
-      ExpectBitwise(m, want[static_cast<size_t>(q)],
-                    "threads=" + std::to_string(threads) + " query " +
-                        std::to_string(q));
-    }
   }
 }
 

@@ -2,7 +2,8 @@
 # value that does not parse: each case passes only when the CLI exits
 # nonzero and its output names the flag. --nprob is a misspelt --nprobe;
 # --quant is a flag no subcommand reads; "on" is not a boolean and "abc"
-# not an integer.
+# not an integer. serve-bench has a single in-process serving mode, so
+# the two flags that once chose a forked multi-process tier are unknown.
 #
 #   cmake -DCLI=<path to pmmrec_cli> -P cli_flags_test.cmake
 
@@ -27,3 +28,8 @@ expect_rejected(nprob serve-bench --items 2000 --requests 8 --ann --nprob 3)
 expect_rejected(quant recommend --users 0 --quant)
 expect_rejected(ann serve-bench --items 2000 --requests 8 --ann=on)
 expect_rejected(nprobe serve-bench --items 2000 --requests 8 --ann --nprobe=abc)
+
+set(tier shard)  # The stem of the forked tier's --${tier}s/--${tier}-mode.
+expect_rejected(${tier}s serve-bench --items 2000 --requests 8 --${tier}s 2)
+expect_rejected(${tier}-mode
+                serve-bench --items 2000 --requests 8 --${tier}-mode ivf)

@@ -1,9 +1,9 @@
 // Multi-process substrate tests (src/dist/): the per-rank thread budget,
-// the shared-memory barrier, the SOCK_SEQPACKET framing contract, forking
-// with the intra-op pool live, and the headline determinism claim of the
-// data-parallel fit — the trajectory is a pure function of the gradient
-// shard count, never of the worker count, so (workers=1, shards=S) and
-// (workers=W, shards=S) are bitwise identical down to every parameter bit.
+// the shared-memory barrier, forking with the intra-op pool live, and the
+// headline determinism claim of the data-parallel fit — the trajectory is
+// a pure function of the gradient shard count, never of the worker count,
+// so (workers=1, shards=S) and (workers=W, shards=S) are bitwise
+// identical down to every parameter bit.
 //
 // Labelled `scaleout`.
 
@@ -24,7 +24,6 @@
 #include "data/generator.h"
 #include "dist/process.h"
 #include "dist/shm.h"
-#include "dist/transport.h"
 #include "utils/parallel.h"
 
 namespace pmmrec {
@@ -120,123 +119,11 @@ TEST(ShmBarrierTest, PeerDeadProbeAbortsTheBarrier) {
   EXPECT_TRUE(barrier.aborted());
 }
 
-// --- Transport framing contract ----------------------------------------------
-
-TEST(TransportTest, FrameRoundTripPreservesEveryField) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  dist::Frame sent;
-  sent.type = dist::FrameType::kResponse;
-  sent.request_id = 0x1122334455667788ull;
-  sent.deadline_ns = 987654321;
-  sent.payload = {1, 2, 3, 250, 251, 252};
-  ASSERT_EQ(a.Send(sent), dist::ChannelStatus::kOk);
-  dist::Frame got;
-  ASSERT_EQ(b.Recv(&got), dist::ChannelStatus::kOk);
-  EXPECT_EQ(got.type, sent.type);
-  EXPECT_EQ(got.request_id, sent.request_id);
-  EXPECT_EQ(got.deadline_ns, sent.deadline_ns);
-  EXPECT_EQ(got.payload, sent.payload);
-}
-
-TEST(TransportTest, EmptyPayloadRoundTrips) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  dist::Frame sent;
-  sent.type = dist::FrameType::kTelemetry;
-  ASSERT_EQ(a.Send(sent), dist::ChannelStatus::kOk);
-  dist::Frame got;
-  ASSERT_EQ(b.Recv(&got), dist::ChannelStatus::kOk);
-  EXPECT_TRUE(got.payload.empty());
-}
-
-TEST(TransportTest, TruncatedHeaderIsBadFrameNotHang) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  const uint32_t magic = dist::Channel::kMagic;
-  ASSERT_TRUE(a.SendRaw(&magic, sizeof(magic)));  // 4 bytes < header.
-  dist::Frame got;
-  EXPECT_EQ(b.Recv(&got), dist::ChannelStatus::kBadFrame);
-}
-
-TEST(TransportTest, GarbageMagicIsBadFrame) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  dist::WireHeader header;
-  header.magic = 0xdeadbeef;
-  header.type = 1;
-  header.payload_len = 0;
-  ASSERT_TRUE(a.SendRaw(&header, sizeof(header)));
-  dist::Frame got;
-  EXPECT_EQ(b.Recv(&got), dist::ChannelStatus::kBadFrame);
-}
-
-TEST(TransportTest, OversizedLengthPrefixIsBadFrame) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  dist::WireHeader header;
-  header.magic = dist::Channel::kMagic;
-  header.type = 1;
-  header.payload_len =
-      static_cast<uint32_t>(dist::Channel::kMaxPayload) + 1;
-  ASSERT_TRUE(a.SendRaw(&header, sizeof(header)));
-  dist::Frame got;
-  EXPECT_EQ(b.Recv(&got), dist::ChannelStatus::kBadFrame);
-}
-
-TEST(TransportTest, LyingLengthPrefixIsBadFrame) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  dist::WireHeader header;
-  header.magic = dist::Channel::kMagic;
-  header.type = 1;
-  header.payload_len = 100;  // Claims 100 payload bytes; sends none.
-  ASSERT_TRUE(a.SendRaw(&header, sizeof(header)));
-  dist::Frame got;
-  EXPECT_EQ(b.Recv(&got), dist::ChannelStatus::kBadFrame);
-}
-
-TEST(TransportTest, ClosedPeerIsPeerDead) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  a.Close();
-  dist::Frame got;
-  EXPECT_EQ(b.Recv(&got), dist::ChannelStatus::kPeerDead);
-  dist::Frame frame;
-  EXPECT_EQ(b.Send(frame), dist::ChannelStatus::kPeerDead);
-}
-
-TEST(TransportTest, PeerProcessDeathIsPeerDeadAfterDrain) {
-  dist::Channel a, b;
-  dist::Channel::CreatePair(&a, &b);
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: one good frame, then die without closing anything in an
-    // orderly way — the kernel closes the inherited fds.
-    dist::Frame frame;
-    frame.type = dist::FrameType::kRequest;
-    frame.request_id = 7;
-    frame.payload = {42};
-    b.Send(frame);
-    _exit(0);
-  }
-  b.Close();  // Drop the parent's copy so EOF is observable.
-  dist::Frame got;
-  ASSERT_EQ(a.Recv(&got), dist::ChannelStatus::kOk);
-  EXPECT_EQ(got.request_id, 7u);
-  // The queued datagram is delivered first; then the dead peer surfaces.
-  EXPECT_EQ(a.Recv(&got), dist::ChannelStatus::kPeerDead);
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-}
-
 // --- Fork with a live intra-op pool ------------------------------------------
 
-// Ranks and serving workers fork while the parent's pool workers are
-// parked in their condition-variable wait. Those threads do not exist in
-// the child, so the child's own parallel regions must never wait on them.
+// Ranks fork while the parent's pool workers are parked in their
+// condition-variable wait. Those threads do not exist in the child, so
+// the child's own parallel regions must never wait on them.
 // The pauses let the workers on each side park before the next batch is
 // published, which is when a stale condition variable blocks. The child
 // carries an alarm: a regression fails here in seconds.

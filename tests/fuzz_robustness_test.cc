@@ -25,7 +25,6 @@
 #include "data/serialization.h"
 #include "nn/layers.h"
 #include "serve/broker.h"
-#include "serve/router.h"
 #include "tests/test_util.h"
 #include "utils/parallel.h"
 
@@ -306,124 +305,6 @@ TEST(FuzzRobustnessTest, SnapshotChurnUnderBrokerLoadStaysBitwiseExact) {
   drain_and_verify();
   ASSERT_GT(futures.size(), 0u);
   EXPECT_GE(published.size(), 2u) << "churn never published a new version";
-}
-
-TEST(FuzzRobustnessTest, RouterKillRespawnChurnStaysBitwiseExact) {
-  // Randomized interleaving of everything that stresses the multi-process
-  // serving tier's failure path: async request bursts left in flight,
-  // SIGKILL of a random replica mid-load, respawn, and shutdown-free
-  // drains. The contract under churn is strict trichotomy — every settled
-  // response is either kOk and bitwise-identical to the single-process
-  // broker, or an explicit kWorkerLost/kQueueFull; never wrong bits,
-  // never a hang, never a silent re-route to a surviving replica.
-  BenchmarkSuite suite = BuildBenchmarkSuite(0.2, 13);
-  const Dataset& ds = suite.sources[0];
-  PMMRecConfig config = PMMRecConfig::FromDataset(ds);
-  PMMRecModel model(config, 42);
-  model.AttachDataset(&ds);
-
-  Rng rng(3301);
-  std::vector<std::vector<int32_t>> prefixes;
-  for (int i = 0; i < 16; ++i) {
-    std::vector<int32_t> p = ds.TestPrefix(rng.UniformInt(0, ds.num_users()));
-    p.resize(static_cast<size_t>(
-        1 + rng.UniformInt(0, static_cast<int64_t>(p.size()))));
-    prefixes.push_back(std::move(p));
-  }
-  constexpr int64_t kTopK = 10;
-
-  // Single-process reference at the (frozen) construction parameters.
-  std::vector<std::vector<ScoredId>> want;
-  {
-    serve::BrokerOptions options;
-    options.num_workers = 1;
-    serve::RequestBroker reference(&model, options);
-    for (const auto& prefix : prefixes) {
-      serve::Response resp = reference.Recommend(prefix, kTopK);
-      ASSERT_EQ(resp.status, serve::ServeStatus::kOk);
-      want.push_back(std::move(resp.items));
-    }
-  }
-
-  serve::RouterOptions options;
-  options.num_workers = 2;
-  options.mode = serve::ShardMode::kReplica;
-  options.handler_threads = 2;
-  options.broker.num_workers = 1;
-  options.broker.max_wait_us = 50;
-  serve::ShardRouter router(&model, options);
-
-  std::vector<std::future<serve::Response>> futures;
-  std::vector<size_t> sent;  // prefix index per future
-  int64_t ok = 0;
-  int64_t lost = 0;
-  const auto drain = [&] {
-    for (size_t i = 0; i < futures.size(); ++i) {
-      const serve::Response resp = futures[i].get();
-      if (resp.status == serve::ServeStatus::kOk) {
-        ++ok;
-        test::ExpectBitwise(resp.items, want[sent[i]],
-                            "churn prefix " + std::to_string(sent[i]));
-      } else {
-        // Explicit shedding only — wrong answers would fail above.
-        ASSERT_TRUE(resp.status == serve::ServeStatus::kWorkerLost ||
-                    resp.status == serve::ServeStatus::kQueueFull)
-            << "unexpected status "
-            << serve::ToString(resp.status) << " for prefix " << sent[i];
-        ++lost;
-      }
-    }
-    futures.clear();
-    sent.clear();
-  };
-
-  for (int step = 0; step < 40; ++step) {
-    switch (rng.UniformInt(0, 4)) {
-      case 0: {  // Async burst, left in flight across later kills.
-        for (int64_t i = rng.UniformInt(1, 6); i > 0; --i) {
-          const size_t which = static_cast<size_t>(
-              rng.NextUint64(static_cast<uint64_t>(prefixes.size())));
-          serve::Request request;
-          request.prefix = prefixes[which];
-          request.topk = kTopK;
-          sent.push_back(which);
-          futures.push_back(router.Submit(std::move(request)));
-        }
-        break;
-      }
-      case 1: {  // SIGKILL a random live replica mid-load.
-        const int64_t victim = rng.UniformInt(0, options.num_workers);
-        if (router.worker_alive(victim)) router.KillWorker(victim);
-        break;
-      }
-      case 2: {  // Respawn whatever is down. KillWorker joined the
-                 // receiver, so every orphaned in-flight request has
-                 // already settled as kWorkerLost by now.
-        for (int64_t w = 0; w < options.num_workers; ++w) {
-          if (!router.worker_alive(w)) router.RespawnWorker(w);
-        }
-        break;
-      }
-      default:  // Settle the backlog so failures localize.
-        drain();
-        break;
-    }
-  }
-  for (int64_t w = 0; w < options.num_workers; ++w) {
-    if (!router.worker_alive(w)) router.RespawnWorker(w);
-  }
-  drain();
-  EXPECT_GT(ok, 0) << "churn never completed a request";
-  EXPECT_GT(lost, 0) << "churn never orphaned a request";
-
-  // Full recovery: with every replica respawned, all routes answer
-  // bitwise-correctly again.
-  for (size_t i = 0; i < prefixes.size(); ++i) {
-    const serve::Response resp = router.Recommend(prefixes[i], kTopK);
-    ASSERT_EQ(resp.status, serve::ServeStatus::kOk) << "prefix " << i;
-    test::ExpectBitwise(resp.items, want[i],
-                        "recovered prefix " + std::to_string(i));
-  }
 }
 
 TEST(FuzzRobustnessTest, ZeroVectorsDoNotBreakNormalization) {

@@ -2,7 +2,7 @@
 #define PMMREC_TESTS_TEST_UTIL_H_
 
 // Shared fixtures and helpers for the serving-path suites
-// (inference_test, serve_test, ann_test, live_serve_test, router_test,
+// (inference_test, serve_test, ann_test, live_serve_test,
 // fuzz_robustness_test, golden_test).
 // Everything here encodes the common experimental setup — the small
 // benchmark-suite model, mixed-length prefix batches, the serial bitwise

@@ -550,103 +550,5 @@ TEST(TraceConcurrencyTest, RawThreadsHammerOneHistogram) {
   EXPECT_EQ(hist.PercentileUpperBound(100) >= 7000u, true);
 }
 
-// --- Telemetry rollup (histogram merge + wire snapshot) ----------------------
-
-TEST(TraceMergeTest, MergeFromIsBucketExact) {
-  trace::Histogram a("merge_test.a");
-  trace::Histogram b("merge_test.b");
-  trace::Histogram all("merge_test.all");
-  for (uint64_t v : {0u, 1u, 7u, 8u, 100u, 4096u}) {
-    a.Observe(v);
-    all.Observe(v);
-  }
-  for (uint64_t v : {3u, 7u, 1000u, 1u << 20}) {
-    b.Observe(v);
-    all.Observe(v);
-  }
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_EQ(a.sum(), all.sum());
-  for (int i = 0; i < trace::Histogram::kNumBuckets; ++i) {
-    ASSERT_EQ(a.bucket_count(i), all.bucket_count(i)) << "bucket " << i;
-  }
-  // Bucket-exact merge implies identical percentile bounds.
-  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-    EXPECT_EQ(a.PercentileUpperBound(p), all.PercentileUpperBound(p)) << p;
-  }
-}
-
-TEST(TraceMergeTest, ConcurrentObserveThenMergeLosesNothing) {
-  trace::Histogram part0("merge_test.part0");
-  trace::Histogram part1("merge_test.part1");
-  constexpr int kThreads = 4;
-  constexpr int kObserves = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    trace::Histogram& part = (t % 2 == 0) ? part0 : part1;
-    threads.emplace_back([&part] {
-      for (int i = 0; i < kObserves; ++i) {
-        part.Observe(static_cast<uint64_t>(i % 512));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  trace::Histogram merged("merge_test.merged");
-  merged.MergeFrom(part0);
-  merged.MergeFrom(part1);
-  EXPECT_EQ(merged.count(), static_cast<uint64_t>(kThreads) * kObserves);
-  uint64_t bucket_total = 0;
-  for (int i = 0; i < trace::Histogram::kNumBuckets; ++i) {
-    bucket_total += merged.bucket_count(i);
-  }
-  EXPECT_EQ(bucket_total, merged.count());
-}
-
-TEST(TraceMergeTest, SerializeParseMergeRoundTrip) {
-  trace::LevelGuard guard(trace::Level::kEpoch);
-  trace::ResetForTest();
-  trace::Counter::Get("merge_test.requests").Add(41);
-  trace::Histogram& hist = trace::Histogram::Get("merge_test.latency");
-  hist.Reset();
-  for (uint64_t v : {5u, 5u, 90u, 7000u}) hist.Observe(v);
-
-  const std::string wire = trace::SerializeTelemetry();
-  trace::TelemetrySnapshot snapshot;
-  ASSERT_TRUE(trace::ParseTelemetry(wire, &snapshot));
-
-  bool saw_counter = false;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name == "merge_test.requests") {
-      EXPECT_EQ(value, 41u);
-      saw_counter = true;
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  bool saw_hist = false;
-  for (const auto& h : snapshot.histograms) {
-    if (h.name != "merge_test.latency") continue;
-    saw_hist = true;
-    EXPECT_EQ(h.count, 4u);
-    EXPECT_EQ(h.sum, 5u + 5u + 90u + 7000u);
-  }
-  EXPECT_TRUE(saw_hist);
-
-  // Merging the parsed snapshot back doubles every total (same process,
-  // same registry — the router does this across processes).
-  trace::MergeTelemetry(snapshot);
-  EXPECT_EQ(trace::Counter::Get("merge_test.requests").value(), 82u);
-  EXPECT_EQ(trace::Histogram::Get("merge_test.latency").count(), 8u);
-  trace::ResetForTest();
-}
-
-TEST(TraceMergeTest, ParseRejectsMalformedLines) {
-  trace::TelemetrySnapshot snapshot;
-  EXPECT_FALSE(trace::ParseTelemetry("C only_name\n", &snapshot));
-  EXPECT_FALSE(trace::ParseTelemetry("H h notanumber 3\n", &snapshot));
-  EXPECT_FALSE(trace::ParseTelemetry("H h 1 1 99999:1\n", &snapshot));
-  EXPECT_FALSE(trace::ParseTelemetry("X what 1\n", &snapshot));
-  EXPECT_TRUE(trace::ParseTelemetry("", &snapshot));
-}
-
 }  // namespace
 }  // namespace pmmrec

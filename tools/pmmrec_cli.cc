@@ -10,7 +10,7 @@
 //             [--modality both|text|vision] [--pretrain-objectives]
 //             [--workers W] [--grad-shards S]
 //             --workers forks W data-parallel training processes over
-//             shared memory (see DESIGN.md "Multi-process scale-out");
+//             shared memory (see DESIGN.md "Data-parallel training");
 //             the trajectory is a pure function of --grad-shards (default
 //             = workers), so any worker count at the same shard count
 //             trains bitwise-identically.
@@ -42,17 +42,9 @@
 //   serve-bench --data FILE.pmds --model MODEL.ckpt [--requests N]
 //             [--clients C] [--workers W] [--max-batch B] [--max-wait-us U]
 //             [--queue-capacity Q] [--deadline-ms D] [--topk K] [--ann]
-//             [--nlist N] [--nprobe P] [--items N]
-//             [--seed S] [--shards W] [--shard-mode replica|ivf]
+//             [--nlist N] [--nprobe P] [--items N] [--seed S]
 //             --seed permutes the per-client user sequence (0 = the
-//             historical derivation, bit-for-bit). --shards W routes the
-//             load through the forked multi-process serving tier
-//             (serve/router.h) instead of the in-process broker — W
-//             hash-routed replica workers, or W IVF shard workers with
-//             --shard-mode ivf (requires --ann) — and prints a per-worker
-//             qps/latency/queue-wait breakdown pulled from each worker's
-//             own telemetry registries. (bench/bench_scaleout is the
-//             scripted qps-vs-workers sweep writing BENCH_scaleout.json.)
+//             historical derivation, bit-for-bit).
 //             Closed-loop load test of the request broker: C client
 //             threads submit N requests, printing achieved QPS, latency
 //             percentiles, shed/reject counts, and the batch-size
@@ -78,7 +70,11 @@
 //
 // Every subcommand reads all of its flags before it does any work and
 // exits with status 2, naming each flag, when one was not among them (a
-// typo such as --nprob, or a flag only another subcommand takes).
+// typo such as --nprob, or a flag only another subcommand takes). Input
+// that is read but does not hold — an unknown --modality or --setting, a
+// user id outside the dataset, a missing or corrupt dataset or
+// checkpoint — ends the subcommand with status 1 and the reason on
+// stderr.
 //
 // Global flags (any subcommand):
 //   --threads N   Intra-op threads for the tensor kernels and evaluation
@@ -102,6 +98,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -119,7 +116,6 @@
 #include "data/serialization.h"
 #include "dist/process.h"
 #include "serve/broker.h"
-#include "serve/router.h"
 #include "utils/flags.h"
 #include "utils/parallel.h"
 #include "utils/stopwatch.h"
@@ -129,20 +125,41 @@
 namespace pmmrec {
 namespace {
 
-ModalityMode ParseModality(const std::string& name) {
-  if (name == "text") return ModalityMode::kTextOnly;
-  if (name == "vision") return ModalityMode::kVisionOnly;
-  PMM_CHECK_MSG(name == "both", "unknown modality: " + name);
-  return ModalityMode::kBoth;
+// Ends a subcommand on input that does not hold: prints the status and
+// returns the exit code. PMM_CHECK stays for the program's own invariants.
+int Fail(const Status& st) {
+  std::fprintf(stderr, "pmmrec_cli: %s\n", st.ToString().c_str());
+  return 1;
 }
 
-TransferSetting ParseSetting(const std::string& name) {
-  if (name == "item") return TransferSetting::kItemEncoders;
-  if (name == "user") return TransferSetting::kUserEncoder;
-  if (name == "text") return TransferSetting::kTextOnly;
-  if (name == "vision") return TransferSetting::kVisionOnly;
-  PMM_CHECK_MSG(name == "full", "unknown transfer setting: " + name);
-  return TransferSetting::kFull;
+Status ParseModality(const std::string& name, ModalityMode* out) {
+  if (name == "text") {
+    *out = ModalityMode::kTextOnly;
+  } else if (name == "vision") {
+    *out = ModalityMode::kVisionOnly;
+  } else if (name == "both") {
+    *out = ModalityMode::kBoth;
+  } else {
+    return Status::InvalidArgument("unknown --modality: " + name);
+  }
+  return Status::Ok();
+}
+
+Status ParseSetting(const std::string& name, TransferSetting* out) {
+  if (name == "item") {
+    *out = TransferSetting::kItemEncoders;
+  } else if (name == "user") {
+    *out = TransferSetting::kUserEncoder;
+  } else if (name == "text") {
+    *out = TransferSetting::kTextOnly;
+  } else if (name == "vision") {
+    *out = TransferSetting::kVisionOnly;
+  } else if (name == "full") {
+    *out = TransferSetting::kFull;
+  } else {
+    return Status::InvalidArgument("unknown --setting: " + name);
+  }
+  return Status::Ok();
 }
 
 // Names every flag the subcommand did not read and every flag whose value
@@ -162,12 +179,9 @@ bool RejectUnreadFlags(const FlagParser& flags) {
   return !unread.empty() || !flags.InvalidFlags().empty();
 }
 
-Dataset LoadDataOrDie(const std::string& path) {
-  PMM_CHECK_MSG(!path.empty(), "--data is required");
-  Dataset ds;
-  const Status st = LoadDatasetFromFile(path, &ds);
-  PMM_CHECK_MSG(st.ok(), st.ToString());
-  return ds;
+Status LoadData(const std::string& path, Dataset* ds) {
+  if (path.empty()) return Status::InvalidArgument("--data is required");
+  return LoadDatasetFromFile(path, ds);
 }
 
 int CmdGenData(const FlagParser& flags) {
@@ -197,7 +211,8 @@ int CmdGenData(const FlagParser& flags) {
 int CmdStats(const FlagParser& flags) {
   const std::string data = flags.GetString("data");
   if (RejectUnreadFlags(flags)) return 2;
-  const Dataset ds = LoadDataOrDie(data);
+  Dataset ds;
+  if (const Status st = LoadData(data, &ds); !st.ok()) return Fail(st);
   std::printf("name:      %s (platform %s)\n", ds.name.c_str(),
               ds.platform.c_str());
   std::printf("users:     %lld\n", static_cast<long long>(ds.num_users()));
@@ -212,8 +227,9 @@ int CmdStats(const FlagParser& flags) {
 
 int CmdTrain(const FlagParser& flags) {
   const std::string data = flags.GetString("data");
-  const ModalityMode modality =
-      ParseModality(flags.GetString("modality", "both"));
+  ModalityMode modality = ModalityMode::kBoth;
+  const Status modality_st =
+      ParseModality(flags.GetString("modality", "both"), &modality);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const bool pretrain = flags.GetBool("pretrain-objectives", false);
   FitOptions opts;
@@ -228,8 +244,10 @@ int CmdTrain(const FlagParser& flags) {
   const int64_t grad_shards = flags.GetInt("grad-shards", 0);
   const std::string out = flags.GetString("out", "pmmrec.ckpt");
   if (RejectUnreadFlags(flags)) return 2;
+  if (!modality_st.ok()) return Fail(modality_st);
 
-  const Dataset ds = LoadDataOrDie(data);
+  Dataset ds;
+  if (const Status st = LoadData(data, &ds); !st.ok()) return Fail(st);
   PMMRecConfig config = PMMRecConfig::FromDataset(ds);
   config.modality = modality;
   PMMRecModel model(config, seed);
@@ -256,13 +274,13 @@ struct ModelFlags {
   int64_t nlist = 0;
   int64_t nprobe = 0;
 
-  static ModelFlags Read(const FlagParser& flags) {
-    ModelFlags f;
-    f.modality = ParseModality(flags.GetString("modality", "both"));
-    f.ann = flags.GetBool("ann", false);
-    f.nlist = flags.GetInt("nlist", 0);
-    f.nprobe = flags.GetInt("nprobe", 0);
-    return f;
+  // Reads every model-config flag; fails on an unknown --modality.
+  static Status Read(const FlagParser& flags, ModelFlags* f) {
+    const std::string modality = flags.GetString("modality", "both");
+    f->ann = flags.GetBool("ann", false);
+    f->nlist = flags.GetInt("nlist", 0);
+    f->nprobe = flags.GetInt("nprobe", 0);
+    return ParseModality(modality, &f->modality);
   }
   PMMRecConfig ConfigFor(const Dataset& ds) const {
     PMMRecConfig config = PMMRecConfig::FromDataset(ds);
@@ -276,17 +294,21 @@ struct ModelFlags {
 
 int CmdEvaluate(const FlagParser& flags) {
   const std::string data = flags.GetString("data");
-  const ModelFlags model_flags = ModelFlags::Read(flags);
+  ModelFlags model_flags;
+  const Status model_flags_st = ModelFlags::Read(flags, &model_flags);
   const std::string model_path = flags.GetString("model");
   const EvalSplit split = flags.GetString("split", "test") == "valid"
                               ? EvalSplit::kValidation
                               : EvalSplit::kTest;
   if (RejectUnreadFlags(flags)) return 2;
+  if (!model_flags_st.ok()) return Fail(model_flags_st);
 
-  const Dataset ds = LoadDataOrDie(data);
+  Dataset ds;
+  if (const Status st = LoadData(data, &ds); !st.ok()) return Fail(st);
   PMMRecModel model(model_flags.ConfigFor(ds), 1);
-  const Status st = model.LoadFromFile(model_path);
-  PMM_CHECK_MSG(st.ok(), st.ToString());
+  if (const Status st = model.LoadFromFile(model_path); !st.ok()) {
+    return Fail(st);
+  }
   model.AttachDataset(&ds);
   const RankingMetrics metrics = EvaluateRanking(model, ds, split);
   std::printf("%s\n", metrics.ToString().c_str());
@@ -295,8 +317,9 @@ int CmdEvaluate(const FlagParser& flags) {
 
 int CmdTransfer(const FlagParser& flags) {
   const std::string data = flags.GetString("data");
-  const TransferSetting setting =
-      ParseSetting(flags.GetString("setting", "full"));
+  TransferSetting setting = TransferSetting::kFull;
+  const Status setting_st =
+      ParseSetting(flags.GetString("setting", "full"), &setting);
   const std::string source_path = flags.GetString("source-model");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   FitOptions opts;
@@ -304,8 +327,10 @@ int CmdTransfer(const FlagParser& flags) {
   opts.verbose = true;
   const std::string out = flags.GetString("out", "pmmrec_finetuned.ckpt");
   if (RejectUnreadFlags(flags)) return 2;
+  if (!setting_st.ok()) return Fail(setting_st);
 
-  const Dataset target = LoadDataOrDie(data);
+  Dataset target;
+  if (const Status st = LoadData(data, &target); !st.ok()) return Fail(st);
   PMMRecConfig config = PMMRecConfig::FromDataset(target);
   if (setting == TransferSetting::kTextOnly) {
     config.modality = ModalityMode::kTextOnly;
@@ -318,8 +343,9 @@ int CmdTransfer(const FlagParser& flags) {
   PMMRecConfig source_config = config;
   source_config.modality = ModalityMode::kBoth;
   PMMRecModel source(source_config, 1);
-  const Status st = source.LoadFromFile(source_path);
-  PMM_CHECK_MSG(st.ok(), st.ToString());
+  if (const Status st = source.LoadFromFile(source_path); !st.ok()) {
+    return Fail(st);
+  }
 
   PMMRecModel model(config, seed);
   model.TransferFrom(source, setting);
@@ -354,13 +380,14 @@ void PrintTopK(int64_t user, const std::vector<int32_t>& history,
   PrintTopKEntries(user, TopKSelect(scores, n_items, topk, history), topk);
 }
 
-// Parses --users as a comma-separated id list or "all".
-std::vector<int64_t> ParseUsers(const std::string& spec, int64_t num_users) {
-  std::vector<int64_t> users;
+// Parses --users as a comma-separated id list or "all". Every id must be
+// a whole integer in [0, num_users).
+Status ParseUsers(const std::string& spec, int64_t num_users,
+                  std::vector<int64_t>* users) {
   if (spec == "all") {
-    users.resize(static_cast<size_t>(num_users));
-    std::iota(users.begin(), users.end(), 0);
-    return users;
+    users->resize(static_cast<size_t>(num_users));
+    std::iota(users->begin(), users->end(), 0);
+    return Status::Ok();
   }
   size_t pos = 0;
   while (pos < spec.size()) {
@@ -369,21 +396,30 @@ std::vector<int64_t> ParseUsers(const std::string& spec, int64_t num_users) {
         spec.substr(pos, comma == std::string::npos ? spec.size() - pos
                                                     : comma - pos);
     if (!tok.empty()) {
-      const int64_t u = std::atoll(tok.c_str());
-      PMM_CHECK_GE(u, 0);
-      PMM_CHECK_LT(u, num_users);
-      users.push_back(u);
+      int64_t u = -1;
+      const auto [end, ec] =
+          std::from_chars(tok.data(), tok.data() + tok.size(), u);
+      if (ec != std::errc() || end != tok.data() + tok.size() || u < 0 ||
+          u >= num_users) {
+        return Status::InvalidArgument(
+            "--users: '" + tok + "' is not a user id in [0, " +
+            std::to_string(num_users) + ")");
+      }
+      users->push_back(u);
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  PMM_CHECK_MSG(!users.empty(), "--users parsed to an empty list");
-  return users;
+  if (users->empty()) {
+    return Status::InvalidArgument("--users parsed to an empty list");
+  }
+  return Status::Ok();
 }
 
 int CmdRecommend(const FlagParser& flags) {
   const std::string data = flags.GetString("data");
-  const ModelFlags model_flags = ModelFlags::Read(flags);
+  ModelFlags model_flags;
+  const Status model_flags_st = ModelFlags::Read(flags, &model_flags);
   const std::string model_path = flags.GetString("model");
   const int64_t topk = flags.GetInt("topk", 10);
   const std::string users_spec = flags.GetString("users");
@@ -393,11 +429,14 @@ int CmdRecommend(const FlagParser& flags) {
   options.max_batch = flags.GetInt("max-batch", 32);
   options.max_wait_us = 0;  // Closed-loop: the queue is pre-filled.
   if (RejectUnreadFlags(flags)) return 2;
+  if (!model_flags_st.ok()) return Fail(model_flags_st);
 
-  const Dataset ds = LoadDataOrDie(data);
+  Dataset ds;
+  if (const Status st = LoadData(data, &ds); !st.ok()) return Fail(st);
   PMMRecModel model(model_flags.ConfigFor(ds), 1);
-  const Status st = model.LoadFromFile(model_path);
-  PMM_CHECK_MSG(st.ok(), st.ToString());
+  if (const Status st = model.LoadFromFile(model_path); !st.ok()) {
+    return Fail(st);
+  }
   model.AttachDataset(&ds);
 
   if (!users_spec.empty()) {
@@ -406,7 +445,11 @@ int CmdRecommend(const FlagParser& flags) {
     // score memory is O(max_batch * n_items) inside the broker — only the
     // top-K ids/scores per user are ever held here, so `--users all`
     // works at any catalogue/user scale.
-    const std::vector<int64_t> users = ParseUsers(users_spec, ds.num_users());
+    std::vector<int64_t> users;
+    if (const Status st = ParseUsers(users_spec, ds.num_users(), &users);
+        !st.ok()) {
+      return Fail(st);
+    }
     options.queue_capacity = static_cast<int64_t>(users.size());
     serve::RequestBroker broker(&model, options);
 
@@ -442,7 +485,11 @@ int CmdRecommend(const FlagParser& flags) {
     return 0;
   }
 
-  PMM_CHECK_LT(user, ds.num_users());
+  if (user < 0 || user >= ds.num_users()) {
+    return Fail(Status::InvalidArgument(
+        "--user " + std::to_string(user) + " is not a user id in [0, " +
+        std::to_string(ds.num_users()) + ")"));
+  }
   const std::vector<int32_t> history = ds.TestPrefix(user);
   const std::vector<float> scores = model.ScoreItems(history);
   std::printf("user %lld history:", static_cast<long long>(user));
@@ -630,8 +677,6 @@ struct ServeBenchFlags {
   int64_t seed = 0;
   int64_t update_every = 0;
   int64_t hot_add = 0;
-  int64_t shards = 0;
-  std::string shard_mode;
   std::string json;
   serve::BrokerOptions broker;
 };
@@ -842,7 +887,7 @@ int RunServeBenchLive(PMMRecModel& model, Dataset& ds,
 
   const std::string& path = args.json;
   std::FILE* f = std::fopen(path.c_str(), "w");
-  PMM_CHECK_MSG(f != nullptr, "cannot write " + path);
+  if (f == nullptr) return Fail(Status::IoError("cannot write " + path));
   std::fprintf(f,
                "{\n  \"bench\": \"liveupdate\",\n"
                "  \"requests_per_phase\": %lld,\n  \"clients\": %lld,\n"
@@ -898,7 +943,8 @@ int CmdServeBench(const FlagParser& flags) {
   const std::string data = synth_items > 0 ? "" : flags.GetString("data");
   const std::string model_path =
       synth_items > 0 ? "" : flags.GetString("model");
-  const ModelFlags model_flags = ModelFlags::Read(flags);
+  ModelFlags model_flags;
+  const Status model_flags_st = ModelFlags::Read(flags, &model_flags);
   ServeBenchFlags args;
   args.requests = std::max<int64_t>(1, flags.GetInt("requests", 512));
   args.clients = std::max<int64_t>(1, flags.GetInt("clients", 8));
@@ -910,16 +956,13 @@ int CmdServeBench(const FlagParser& flags) {
   args.seed = flags.GetInt("seed", 0);
   args.update_every = flags.GetInt("update-every", 0);
   args.hot_add = flags.GetInt("hot-add", 0);
-  args.shards = flags.GetInt("shards", 0);
-  args.shard_mode = flags.GetString("shard-mode", "replica");
   args.json = flags.GetString("json", "BENCH_liveupdate.json");
   args.broker.num_workers = flags.GetInt("workers", 2);
   args.broker.max_batch = flags.GetInt("max-batch", 32);
   args.broker.max_wait_us = flags.GetInt("max-wait-us", 200);
   args.broker.queue_capacity = flags.GetInt("queue-capacity", 1024);
   if (RejectUnreadFlags(flags)) return 2;
-  PMM_CHECK_MSG(args.shard_mode == "replica" || args.shard_mode == "ivf",
-                "unknown --shard-mode: " + args.shard_mode);
+  if (!model_flags_st.ok()) return Fail(model_flags_st);
 
   Dataset ds;
   if (synth_items > 0) {
@@ -931,13 +974,14 @@ int CmdServeBench(const FlagParser& flags) {
     pc.n_items = static_cast<int32_t>(synth_items);
     pc.n_users = static_cast<int32_t>(std::min<int64_t>(synth_items, 2048));
     ds = DatasetGenerator(&world).Generate(pc);
-  } else {
-    ds = LoadDataOrDie(data);
+  } else if (const Status st = LoadData(data, &ds); !st.ok()) {
+    return Fail(st);
   }
   PMMRecModel model(model_flags.ConfigFor(ds), 1);
   if (synth_items <= 0) {
-    const Status st = model.LoadFromFile(model_path);
-    PMM_CHECK_MSG(st.ok(), st.ToString());
+    if (const Status st = model.LoadFromFile(model_path); !st.ok()) {
+      return Fail(st);
+    }
   }
   model.AttachDataset(&ds);
 
@@ -953,32 +997,10 @@ int CmdServeBench(const FlagParser& flags) {
   const int64_t deadline_ms = args.deadline_ms;
   const int64_t seed = args.seed;
   const serve::BrokerOptions& options = args.broker;
-
-  // --shards W serves through the multi-process tier (serve/router.h)
-  // instead of the in-process broker: W forked replica workers
-  // (hash-routed users, --shard-mode replica) or W IVF shard workers
-  // scattering every request across inverted-list slices (--shard-mode
-  // ivf, requires --ann). `options` becomes each worker's inner broker.
-  const int64_t shards = args.shards;
-  const std::string& shard_mode = args.shard_mode;
-  std::unique_ptr<serve::RequestBroker> broker;
-  std::unique_ptr<serve::ShardRouter> router;
-  if (shards > 0) {
-    serve::RouterOptions ropts;
-    ropts.num_workers = shards;
-    ropts.mode = shard_mode == "ivf" ? serve::ShardMode::kIvfShard
-                                     : serve::ShardMode::kReplica;
-    ropts.broker = options;
-    router = std::make_unique<serve::ShardRouter>(&model, ropts);
-  } else {
-    broker = std::make_unique<serve::RequestBroker>(&model, options);
-  }
+  serve::RequestBroker broker(&model, options);
 
   std::vector<std::vector<uint64_t>> latencies(
       static_cast<size_t>(clients));
-  std::vector<std::vector<uint64_t>> queue_waits(
-      static_cast<size_t>(clients));
-  std::atomic<uint64_t> shed{0}, rejected{0}, lost{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(clients));
   Stopwatch watch;
@@ -996,17 +1018,9 @@ int CmdServeBench(const FlagParser& flags) {
           request.deadline_ns = serve::DeadlineFromNow(deadline_ms * 1000);
         }
         const serve::Response response =
-            router ? router->Submit(std::move(request)).get()
-                   : broker->Submit(std::move(request)).get();
-        switch (response.status) {
-          case serve::ServeStatus::kOk:
-            latencies[static_cast<size_t>(c)].push_back(response.total_ns);
-            queue_waits[static_cast<size_t>(c)].push_back(response.queue_ns);
-            break;
-          case serve::ServeStatus::kDeadlineExceeded: ++shed; break;
-          case serve::ServeStatus::kQueueFull: ++rejected; break;
-          case serve::ServeStatus::kWorkerLost: ++lost; break;
-          default: break;
+            broker.Submit(std::move(request)).get();
+        if (response.status == serve::ServeStatus::kOk) {
+          latencies[static_cast<size_t>(c)].push_back(response.total_ns);
         }
       }
     });
@@ -1027,79 +1041,18 @@ int CmdServeBench(const FlagParser& flags) {
     return static_cast<double>(all[idx]) / 1e3;
   };
   const char* path_note = model.AnnServingEnabled() ? "ivf" : "exact";
-  if (router) {
-    std::printf("serve-bench: %lld requests, %lld clients, %lld %s "
-                "shards (multi-process), seed %lld, %lld items, %s path\n",
-                static_cast<long long>(requests),
-                static_cast<long long>(clients),
-                static_cast<long long>(shards), shard_mode.c_str(),
-                static_cast<long long>(seed),
-                static_cast<long long>(ds.num_items()), path_note);
-  } else {
-    std::printf("serve-bench: %lld requests, %lld clients, %lld workers, "
-                "max_batch %lld, max_wait %lld us, %lld items, %s path\n",
-                static_cast<long long>(requests),
-                static_cast<long long>(clients),
-                static_cast<long long>(options.num_workers),
-                static_cast<long long>(options.max_batch),
-                static_cast<long long>(options.max_wait_us),
-                static_cast<long long>(ds.num_items()), path_note);
-  }
+  std::printf("serve-bench: %lld requests, %lld clients, %lld workers, "
+              "max_batch %lld, max_wait %lld us, %lld items, %s path\n",
+              static_cast<long long>(requests),
+              static_cast<long long>(clients),
+              static_cast<long long>(options.num_workers),
+              static_cast<long long>(options.max_batch),
+              static_cast<long long>(options.max_wait_us),
+              static_cast<long long>(ds.num_items()), path_note);
   std::printf("  achieved %.1f req/s; latency us p50 %.0f p95 %.0f p99 %.0f\n",
               static_cast<double>(all.size()) / seconds, pct(50), pct(95),
               pct(99));
-  if (router) {
-    std::printf("  completed %llu, deadline_exceeded %llu, queue_full %llu, "
-                "worker_lost %llu\n",
-                static_cast<unsigned long long>(all.size()),
-                static_cast<unsigned long long>(shed.load()),
-                static_cast<unsigned long long>(rejected.load()),
-                static_cast<unsigned long long>(lost.load()));
-    // Per-worker rollup pulled over the control channel: each forked
-    // worker serializes its own trace registries, so the split shows
-    // routing balance (replica mode) or shard-scan symmetry (ivf mode).
-    const auto per_worker = router->CollectWorkerTelemetry();
-    std::printf("  per-%s breakdown:\n",
-                shard_mode == "ivf" ? "shard" : "worker");
-    for (size_t w = 0; w < per_worker.size(); ++w) {
-      uint64_t completed = 0;
-      for (const auto& [name, value] : per_worker[w].counters) {
-        if (name == "serve.worker.completed") completed = value;
-      }
-      const trace::TelemetrySnapshot::HistogramData* latency = nullptr;
-      const trace::TelemetrySnapshot::HistogramData* queue = nullptr;
-      for (const auto& hist : per_worker[w].histograms) {
-        if (hist.name == "serve.latency_us") latency = &hist;
-        if (hist.name == "serve.queue_wait_us") queue = &hist;
-      }
-      // Inclusive bucket upper bound at percentile p, in microseconds.
-      const auto hist_pct = [](
-          const trace::TelemetrySnapshot::HistogramData* h, double p) {
-        if (h == nullptr || h->count == 0) return 0.0;
-        const uint64_t target = static_cast<uint64_t>(
-            p / 100.0 * static_cast<double>(h->count));
-        uint64_t cum = 0;
-        for (const auto& [index, samples] : h->buckets) {
-          cum += samples;
-          if (cum > target) {
-            return static_cast<double>(
-                trace::Histogram::BucketUpperBound(index));
-          }
-        }
-        return static_cast<double>(
-            trace::Histogram::BucketUpperBound(h->buckets.back().first));
-      };
-      std::printf("    %s %zu: %llu done, %.1f req/s, "
-                  "latency us p50 %.0f p99 %.0f, queue_wait us p50 %.0f\n",
-                  shard_mode == "ivf" ? "shard" : "worker", w,
-                  static_cast<unsigned long long>(completed),
-                  static_cast<double>(completed) / seconds,
-                  hist_pct(latency, 50), hist_pct(latency, 99),
-                  hist_pct(queue, 50));
-    }
-    return 0;
-  }
-  const serve::BrokerStats stats = broker->stats();
+  const serve::BrokerStats stats = broker.stats();
   std::printf("  completed %llu, deadline_exceeded %llu, queue_full %llu; "
               "%llu batches, mean batch %.2f, max batch %llu\n",
               static_cast<unsigned long long>(stats.completed),
